@@ -11,7 +11,6 @@ from .analysis import (
     PostprocConfig,
     accuracy,
     apply_dead_zone,
-    f1,
     match_events,
     metrics_report,
     overall_accuracy,
@@ -29,9 +28,6 @@ from .nn import (
     MlpModel,
     QuantizedMlpModel,
     SpikeClass,
-    classify,
-    infer_float,
-    infer_quantized,
     load_model,
     quantize,
     save_model,

@@ -57,13 +57,6 @@ class ConfusionMatrix:
     def add(self, true: SpikeClass, predicted: SpikeClass) -> None:
         self.counts[true, predicted] += 1
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "ConfusionMatrix":
-        cm = cls()
-        for true, predicted in pairs:
-            cm.add(true, predicted)
-        return cm
-
 
 def apply_dead_zone(events, cfg: PostprocConfig, sample_rate_hz: float):
     """Drop events inside the dead zone opened by each retained SS event.
@@ -181,10 +174,6 @@ def f1_with_flag(cm: ConfusionMatrix, klass: SpikeClass) -> tuple[float, bool]:
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2.0 * precision * recall / (precision + recall), True
-
-
-def f1(cm: ConfusionMatrix, klass: SpikeClass) -> float:
-    return f1_with_flag(cm, klass)[0]
 
 
 def metrics_report(cm: ConfusionMatrix) -> dict:

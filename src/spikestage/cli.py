@@ -26,8 +26,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import analysis, detector, nn, pipeline, signal, store, train
 from .errors import FormatError, InfeasibleError, SpikestageError, ValidationError
 
@@ -58,12 +56,16 @@ def _build_section(name: str, cls, doc: dict):
     unknown = set(doc) - known
     if unknown:
         raise ValidationError(f"config section '{name}' has unknown keys: {sorted(unknown)}")
-    if name == "dse":
-        if "hidden_ranges" in doc:
-            doc = dict(doc, hidden_ranges=tuple(tuple(r) for r in doc["hidden_ranges"]))
-        if "ortho_lambdas" in doc:
-            doc = dict(doc, ortho_lambdas=tuple(doc["ortho_lambdas"]))
-    return cls(**doc)
+    # a value of the wrong JSON type fails a comparison or conversion
+    try:
+        if name == "dse":
+            if "hidden_ranges" in doc:
+                doc = dict(doc, hidden_ranges=tuple(tuple(r) for r in doc["hidden_ranges"]))
+            if "ortho_lambdas" in doc:
+                doc = dict(doc, ortho_lambdas=tuple(doc["ortho_lambdas"]))
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"config section '{name}' has a malformed value ({exc})") from exc
 
 
 def load_config(path=None) -> AppConfig:
@@ -72,7 +74,7 @@ def load_config(path=None) -> AppConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ValidationError(f"{path}: config is not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: config root must be a JSON object")

@@ -14,9 +14,9 @@ on energy values clipped at a multiple of the current mean, so that rare,
 huge excursions (spikes; that is the whole point of the detector) delay
 neither convergence nor stability.  All arithmetic is double precision.
 
-Two equivalent implementations live here: a per-tick step used by the state
-machine and the tests, and a vectorized trace used where throughput matters.
-They produce bit-identical values.
+The per-tick detector_step drives the state machine and is the reference;
+detector_trace computes the same values for a whole recording with array
+passes and is what the vectorized pipeline uses.  They are bit-identical.
 """
 
 from __future__ import annotations
@@ -77,16 +77,6 @@ class DetectorState:
     ticks: int = 0
 
 
-def iir_step(y_prev: float, x: float, alpha: float) -> float:
-    """One step of y[n] = alpha * x[n] + (1 - alpha) * y[n-1]."""
-    return alpha * x + (1.0 - alpha) * y_prev
-
-
-def neo(x_prev: float, x: float, x_next: float) -> float:
-    """Nonlinear energy of the middle sample: x^2 - x_prev * x_next."""
-    return x * x - x_prev * x_next
-
-
 def threshold_update(state: DetectorState, cfg: DetectorConfig) -> float:
     """Feed the current smoothed energy into the threshold average.
 
@@ -140,7 +130,7 @@ def detector_step(
 
 
 def smooth(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Whole-vector form of iir_step with zero initial state."""
+    """First-order IIR low-pass y[n] = alpha * x[n] + (1 - alpha) * y[n-1], zero start."""
     return lfilter([alpha], [1.0, -(1.0 - alpha)], np.asarray(x, dtype=np.float64))
 
 
@@ -164,7 +154,6 @@ class DetectorTrace:
     """Vectorized detector pass over a whole recording."""
 
     y: np.ndarray  # smoothed samples
-    neo_raw: np.ndarray  # streaming-aligned raw energy
     y_neo: np.ndarray  # smoothed energy
     converged_tick: int | None  # tick whose update latched convergence
     threshold: float  # frozen threshold (0.0 when never converged)
@@ -210,10 +199,9 @@ def detector_trace(samples: np.ndarray, cfg: DetectorConfig) -> DetectorTrace:
     matching the pipeline's startup behaviour.
     """
     y = smooth(samples, cfg.alpha_signal)
-    neo_raw = neo_stream(y)
-    y_neo = smooth(neo_raw, cfg.alpha_neo)
+    y_neo = smooth(neo_stream(y), cfg.alpha_neo)
     converged_tick, threshold = _converge(y_neo, cfg)
-    return DetectorTrace(y=y, neo_raw=neo_raw, y_neo=y_neo, converged_tick=converged_tick, threshold=threshold)
+    return DetectorTrace(y=y, y_neo=y_neo, converged_tick=converged_tick, threshold=threshold)
 
 
 def detection_candidates(trace: DetectorTrace) -> np.ndarray:

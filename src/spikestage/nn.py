@@ -13,7 +13,7 @@ and the final layer returns dequantized logits instead of requantizing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -127,45 +127,20 @@ class QuantizedMlpModel:
         ]
 
 
-def infer_float(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Forward pass on one input vector; returns raw logits (no softmax)."""
+def _layer_outputs(model: MlpModel, x: np.ndarray):
+    """Yield each layer's post-activation output for a [batch, in] matrix."""
     h = np.asarray(x, dtype=np.float64)
-    if h.shape != (model.layers[0].weights.shape[1],):
-        raise ValidationError(
-            f"input length {h.shape} does not match model input "
-            f"{model.layers[0].weights.shape[1]}"
-        )
-    return infer_float_batch(model, h[None, :])[0]
+    for layer in model.layers:
+        h = h @ layer.weights.T + layer.biases
+        if layer.activation == "relu":
+            h = np.maximum(h, 0.0)
+        yield h
 
 
 def infer_float_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Forward pass on a [batch, in] matrix; returns [batch, out] logits."""
-    h = np.asarray(x, dtype=np.float64)
-    for layer in model.layers:
-        h = h @ layer.weights.T + layer.biases
-        if layer.activation == "relu":
-            h = np.maximum(h, 0.0)
-    return h
-
-
-def classify(logits: np.ndarray) -> SpikeClass:
-    """Argmax over logits; ties resolve to the lowest class index."""
-    logits = np.asarray(logits)
-    if logits.shape != (NUM_CLASSES,):
-        raise ValidationError(f"expected {NUM_CLASSES} logits, got {logits.shape}")
-    return SpikeClass(int(np.argmax(logits)))
-
-
-def _activation_maxima(model: MlpModel, calibration: np.ndarray) -> list[float]:
-    """Max |post-activation| per layer over the calibration inputs."""
-    h = np.asarray(calibration, dtype=np.float64)
-    maxima = []
-    for layer in model.layers:
-        h = h @ layer.weights.T + layer.biases
-        if layer.activation == "relu":
-            h = np.maximum(h, 0.0)
-        maxima.append(float(np.max(np.abs(h))) if h.size else 0.0)
-    return maxima
+    *_, logits = _layer_outputs(model, x)
+    return logits
 
 
 def quantize(model: MlpModel, calibration: np.ndarray) -> QuantizedMlpModel:
@@ -183,7 +158,10 @@ def quantize(model: MlpModel, calibration: np.ndarray) -> QuantizedMlpModel:
     if calibration.shape[1] != model.layers[0].weights.shape[1]:
         raise ValidationError("calibration width does not match model input")
 
-    act_maxima = _activation_maxima(model, calibration)
+    # max |post-activation| per layer over the calibration inputs
+    act_maxima = [
+        float(np.max(np.abs(h))) if h.size else 0.0 for h in _layer_outputs(model, calibration)
+    ]
     qlayers = []
     input_scale = 1.0
     for layer, act_max in zip(model.layers, act_maxima):
@@ -211,23 +189,6 @@ def quantize(model: MlpModel, calibration: np.ndarray) -> QuantizedMlpModel:
     return QuantizedMlpModel(qlayers)
 
 
-def infer_quantized(model: QuantizedMlpModel, waveform: np.ndarray) -> tuple[np.ndarray, SpikeClass]:
-    """Integer forward pass on one int8 waveform.
-
-    Returns (dequantized logits, class).  The class is the argmax with ties
-    resolved to the lowest index, matching classify().
-    """
-    q = np.asarray(waveform)
-    if q.shape != (model.layers[0].q_weights.shape[1],):
-        raise ValidationError("waveform length does not match model input")
-    if q.dtype != np.int8:
-        if np.any(q < ACT_QMIN) or np.any(q > ACT_QMAX):
-            raise ValidationError("waveform values outside int8 range")
-        q = q.astype(np.int8)
-    logits = infer_quantized_batch(model, q[None, :])
-    return logits[0], classify(logits[0])
-
-
 def infer_quantized_batch(model: QuantizedMlpModel, waveforms: np.ndarray) -> np.ndarray:
     """Integer forward pass on a [batch, in] int8 matrix; returns float logits."""
     q = np.asarray(waveforms, dtype=np.int64)
@@ -246,11 +207,6 @@ def infer_quantized_batch(model: QuantizedMlpModel, waveforms: np.ndarray) -> np
             q = np.maximum(q, 0)
         q = q.astype(np.int64)
     raise AssertionError("unreachable")
-
-
-def dequantize_weights(layer: QuantizedLayer) -> np.ndarray:
-    """Real-valued view of a quantized weight matrix."""
-    return layer.q_weights.astype(np.float64) * layer.weight_scale
 
 
 def _float_to_json(model: MlpModel) -> dict:
@@ -306,7 +262,7 @@ def load_model(path) -> MlpModel | QuantizedMlpModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "kind" not in doc or "layers" not in doc:
         raise FormatError(f"{path}: not a model file")
@@ -349,7 +305,7 @@ def load_model(path) -> MlpModel | QuantizedMlpModel:
             )
         else:
             raise FormatError(f"{path}: unknown model kind {doc['kind']!r}")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed model file ({exc})") from exc
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -15,10 +15,12 @@ least 40 + classify_ticks ticks apart and each one captures exactly 40
 samples.  Event timestamps are the detection ticks, strictly increasing.
 False-positive classifications produce no event unless configured to.
 
-Two implementations: the Pipeline class steps tick by tick and is the
-behavioural reference; run_pipeline computes the identical result from
-whole-stream array passes and is what the CLI uses.  The pipeline is
-single-threaded by construction; instances must not be shared.
+The Pipeline class steps tick by tick and is the behavioural reference.
+run_pipeline computes the identical result from whole-stream array passes
+and is what the CLI uses; capture_detections shares its capture path
+(detector pass, honored spacing, complete captures, gather) so training
+data is captured exactly as deployed.  The pipeline is single-threaded by
+construction; instances must not be shared.
 """
 
 from __future__ import annotations
@@ -215,13 +217,11 @@ class Pipeline:
         return events
 
 
-def _honored_detections(
-    candidates: np.ndarray, first_allowed: int, busy_ticks: int
-) -> np.ndarray:
+def _honored_detections(candidates: np.ndarray, busy_ticks: int) -> np.ndarray:
     """Greedy scan: keep every candidate tick not masked by a busy period."""
     honored = []
     i = 0
-    next_free = first_allowed
+    next_free = 0
     while i < len(candidates):
         t = int(candidates[i])
         if t >= next_free:
@@ -233,6 +233,25 @@ def _honored_detections(
     return np.array(honored, dtype=np.int64)
 
 
+def _capture_path(samples, det_cfg, options):
+    """Detector pass and the capture rule: (trace, honored ticks, complete ticks).
+
+    A detection is honored when no earlier honored detection keeps the
+    state machine busy (40 capture + classify_ticks + 1 ticks); its capture
+    is complete when the samples t+1..t+40 lie inside the stream.
+    """
+    trace = det.detector_trace(samples, det_cfg or det.DetectorConfig())
+    busy = WAVEFORM_SAMPLES + options.classify_ticks + 1
+    honored = _honored_detections(det.detection_candidates(trace), busy)
+    complete = honored[honored + WAVEFORM_SAMPLES <= len(samples) - 1]
+    return trace, honored, complete
+
+
+def _gather(trace: det.DetectorTrace, ticks: np.ndarray) -> np.ndarray:
+    """int8 captures: the quantized smoothed samples t+1..t+40 of each tick."""
+    return quantize_capture_array(trace.y[ticks[:, None] + np.arange(1, WAVEFORM_SAMPLES + 1)])
+
+
 def capture_detections(
     samples,
     det_cfg: det.DetectorConfig | None = None,
@@ -241,25 +260,11 @@ def capture_detections(
     """Detection ticks and their 40-sample capture buffers, deployment-timed.
 
     Returns (ticks, waveforms, trace): one int8 waveform row per honored
-    detection with a complete capture.  Uses the same spacing as the state
-    machine so training data matches what the classifier sees in the field.
+    detection with a complete capture.  Shares run_pipeline's capture path,
+    so training data matches what the classifier sees in the field.
     """
-    det_cfg = det_cfg or det.DetectorConfig()
-    options = options or PipelineOptions()
-    samples = np.asarray(samples, dtype=np.float64)
-    n = len(samples)
-    trace = det.detector_trace(samples, det_cfg)
-    if trace.converged_tick is None:
-        return np.empty(0, dtype=np.int64), np.empty((0, WAVEFORM_SAMPLES), dtype=np.int8), trace
-    candidates = det.detection_candidates(trace)
-    busy = WAVEFORM_SAMPLES + options.classify_ticks + 1
-    honored = _honored_detections(candidates, trace.converged_tick + 1, busy)
-    complete = honored[honored + WAVEFORM_SAMPLES <= n - 1]
-    if len(complete) == 0:
-        return np.empty(0, dtype=np.int64), np.empty((0, WAVEFORM_SAMPLES), dtype=np.int8), trace
-    idx = complete[:, None] + np.arange(1, WAVEFORM_SAMPLES + 1)
-    waveforms = quantize_capture_array(trace.y[idx])
-    return complete, waveforms, trace
+    trace, _, complete = _capture_path(samples, det_cfg, options or PipelineOptions())
+    return complete, _gather(trace, complete), trace
 
 
 def run_pipeline(
@@ -277,32 +282,19 @@ def run_pipeline(
         raise ValidationError(
             f"pipeline model must take {WAVEFORM_SAMPLES} inputs, got {model.topology[0]}"
         )
-    det_cfg = det_cfg or det.DetectorConfig()
     options = options or PipelineOptions()
-    samples = np.asarray(samples, dtype=np.float64)
+    trace, honored, complete = _capture_path(samples, det_cfg, options)
     n = len(samples)
-    ct = options.classify_ticks
-
-    stats = RunStats(total_ticks=n)
-    trace = det.detector_trace(samples, det_cfg)
-    if trace.converged_tick is None:
-        stats.init_ticks = n
-        return [], stats
     T = trace.converged_tick
-    stats.converged_tick = T
-    stats.threshold = trace.threshold
-    stats.init_ticks = T + 1
 
-    candidates = det.detection_candidates(trace)
-    honored = _honored_detections(candidates, T + 1, WAVEFORM_SAMPLES + ct + 1)
+    stats = RunStats(total_ticks=n, converged_tick=T, threshold=trace.threshold)
+    stats.init_ticks = n if T is None else T + 1
     stats.detections = len(honored)
-
-    capture_ticks = np.clip(n - 1 - honored, 0, WAVEFORM_SAMPLES)
-    stats.detected_ticks = int(capture_ticks.sum())
-    complete = honored[honored + WAVEFORM_SAMPLES <= n - 1]
+    stats.detected_ticks = int(np.clip(n - 1 - honored, 0, WAVEFORM_SAMPLES).sum())
     stats.classifying_ticks = int(
-        np.clip(n - 1 - (complete + WAVEFORM_SAMPLES), 0, ct).sum()
+        np.clip(n - 1 - (complete + WAVEFORM_SAMPLES), 0, options.classify_ticks).sum()
     )
+    # the classifier runs on the tick after the capture's last sample
     classified = complete[complete + WAVEFORM_SAMPLES + 1 <= n - 1]
     stats.classify_invocations = len(classified)
     stats.running_ticks = (
@@ -310,17 +302,13 @@ def run_pipeline(
     )
 
     events: list[PipelineEvent] = []
-    if len(classified):
-        idx = classified[:, None] + np.arange(1, WAVEFORM_SAMPLES + 1)
-        waveforms = quantize_capture_array(trace.y[idx])
-        logits = infer_quantized_batch(model, waveforms)
-        klasses = np.argmax(logits, axis=1)
-        for t, k in zip(classified, klasses):
-            klass = SpikeClass(int(k))
-            stats.class_counts[klass.name] += 1
-            if klass is SpikeClass.F and not options.store_false_positives:
-                continue
-            events.append(PipelineEvent(int(t), klass))
+    logits = infer_quantized_batch(model, _gather(trace, classified))
+    for t, k in zip(classified, np.argmax(logits, axis=1)):
+        klass = SpikeClass(int(k))
+        stats.class_counts[klass.name] += 1
+        if klass is SpikeClass.F and not options.store_false_positives:
+            continue
+        events.append(PipelineEvent(int(t), klass))
     stats.events_emitted = len(events)
     return events, stats
 

@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -201,7 +201,8 @@ def save_dataset(path, dataset: list[LabeledWaveform]) -> None:
 
 def load_dataset(path) -> list[LabeledWaveform]:
     dataset = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes, so that a line that is not UTF-8 fails inside the per-line check
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -211,7 +212,7 @@ def load_dataset(path) -> list[LabeledWaveform]:
                 label = SpikeClass[doc["label"]]
                 waveform = np.array(doc["waveform"], dtype=np.int64)
                 tick = int(doc["tick"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed dataset line ({exc})") from exc
             if waveform.shape != (WAVEFORM_SAMPLES,):
                 raise FormatError(f"{path}:{lineno}: waveform must have {WAVEFORM_SAMPLES} samples")
@@ -508,15 +509,11 @@ def evaluate(
         if calibration is None:
             raise ValidationError("quantize_first requires a calibration dataset")
         model = quantize(model, dataset_arrays(calibration)[0])
-    if isinstance(model, QuantizedMlpModel):
-        logits = infer_quantized_batch(model, np.stack([d.waveform for d in dataset]))
-    else:
-        logits = infer_float_batch(model, X)
-    predicted = np.argmax(logits, axis=1)
-    cm = ConfusionMatrix()
-    for true, pred in zip(y, predicted):
-        cm.add(SpikeClass(int(true)), SpikeClass(int(pred)))
-    return cm
+    # X holds the int8 capture codes exactly, so both paths can read it
+    infer = infer_quantized_batch if isinstance(model, QuantizedMlpModel) else infer_float_batch
+    predicted = np.argmax(infer(model, X), axis=1)
+    counts = np.bincount(NUM_CLASSES * y + predicted, minlength=NUM_CLASSES * NUM_CLASSES)
+    return ConfusionMatrix(counts.reshape(NUM_CLASSES, NUM_CLASSES))
 
 
 def stratified_folds(dataset, folds: int, seed: int) -> list[list[int]]:
@@ -644,18 +641,7 @@ def full_grid(cfg: DseConfig):
 
 def _dse_task(args):
     dataset, topology, rf, train_cfg, folds, seed, confidence = args
-    cfg = TrainConfig(
-        epochs=train_cfg.epochs,
-        patience=train_cfg.patience,
-        val_fraction=train_cfg.val_fraction,
-        test_fraction=train_cfg.test_fraction,
-        batch_size=train_cfg.batch_size,
-        learning_rate=train_cfg.learning_rate,
-        beta1=train_cfg.beta1,
-        beta2=train_cfg.beta2,
-        adam_epsilon=train_cfg.adam_epsilon,
-        ortho_lambda=rf,
-    )
+    cfg = replace(train_cfg, ortho_lambda=rf)
     result = cross_validate(dataset, topology, cfg, folds=folds, seed=seed, confidence=confidence)
     return DseResult(
         topology=list(topology),

@@ -113,7 +113,7 @@ def test_04_quantization_agreement(capsys, chain600):
     def max_norm_err(m, qm):
         worst = 0.0
         for layer, qlayer in zip(m.layers, qm.layers):
-            err = np.max(np.abs(nn.dequantize_weights(qlayer) - layer.weights))
+            err = np.max(np.abs(qlayer.q_weights * qlayer.weight_scale - layer.weights))
             worst = max(worst, err / (qlayer.weight_scale / 2.0))
         return worst
 

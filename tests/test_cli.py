@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from spikestage import nn, pipeline, store
+from spikestage import cli, nn, pipeline, signal, store
 from spikestage import train as tr
 from spikestage.nn import SpikeClass
 
@@ -299,6 +299,94 @@ def test_exit_codes(tmp_path, chain):
 
     assert run_cli("train", "--dataset", p["ds"], "--topology", "40,x,3", "--out", tmp_path / "m.json").returncode == 1
     assert run_cli("train", "--dataset", p["ds"], "--topology", "39,3", "--out", tmp_path / "m.json").returncode == 1
+
+
+@pytest.fixture
+def model_files(tmp_path):
+    """A valid recording, float model and quantized model (40-3), as files."""
+    recording = np.zeros(100, dtype=np.int16)
+    signal.write_recording(tmp_path / "r.spkr", recording, signal.RecordingConfig())
+    weights = np.ones((3, 40))
+    nn.save_model(tmp_path / "f.json", nn.MlpModel([nn.Layer(weights, np.zeros(3), "linear")]))
+    layer = nn.QuantizedLayer(
+        weights.astype(np.int8), np.zeros(3, dtype=np.int32), "linear", 1.0, 1.0, 1.0
+    )
+    nn.save_model(tmp_path / "q.json", nn.QuantizedMlpModel([layer]))
+    return tmp_path
+
+
+def _corrupt(path, key, value):
+    doc = json.loads(path.read_text())
+    doc["layers"][0][key] = value
+    path.write_text(json.dumps(doc))
+
+
+def main_exit(capsys, *args, blame=""):
+    """Run the CLI in-process; an escaping exception fails the test outright.
+
+    A failing run must print one error line that names `blame`.
+    """
+    code = cli.main([str(a) for a in args])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and blame in err
+    return code
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("q", "input_scale", "abc"),
+        ("q", "q_weights", [["abc"] * 40] * 3),
+        ("f", "weights", [["abc"] * 40] * 3),
+        ("q", "q_biases", [2**70, 0, 0]),
+    ],
+)
+def test_malformed_model_exits_2(capsys, model_files, kind, key, value):
+    model = model_files / f"{kind}.json"
+    _corrupt(model, key, value)
+    out = model_files / "out"
+    if kind == "q":
+        run = ("run", "--in", model_files / "r.spkr", "--model", model, "--out", out)
+        assert main_exit(capsys, *run, blame=model.name) == 2
+    quantize = ("quantize", "--model", model, "--calib", model_files / "none.jsonl", "--out", out)
+    assert main_exit(capsys, *quantize, blame=model.name) == 2
+
+
+def test_malformed_dataset_exits_2(capsys, tmp_path):
+    line = {"tick": 5, "label": "SS", "waveform": [0] * 40}
+    ds = tmp_path / "ds.jsonl"
+    train = ("train", "--dataset", ds, "--topology", "40,3", "--out", tmp_path / "m.json")
+    for bad in ({"tick": "abc"}, {"waveform": ["x"] * 40}, {"waveform": [2**70] + [0] * 39}):
+        ds.write_text(json.dumps(dict(line, **bad)) + "\n")
+        assert main_exit(capsys, *train, blame="ds.jsonl:1") == 2
+    ds.write_bytes(json.dumps(line).encode() + b"\n\xff\xfe\n")
+    assert main_exit(capsys, *train, blame="ds.jsonl:2") == 2
+
+
+def test_non_utf8_files_exit_cleanly(capsys, model_files):
+    root = model_files
+    junk = root / "junk.json"
+    junk.write_bytes(b"\xff\xfe\x00\x81")
+    assert main_exit(capsys, "report", "--config", junk, blame="junk.json") == 1
+    quantize = ("quantize", "--model", junk, "--calib", junk, "--out", root / "o.json")
+    assert main_exit(capsys, *quantize, blame="junk.json") == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"detector": {"alpha_signal": "x"}},
+        {"train": {"epochs": "3"}},
+        {"dse": {"hidden_ranges": 5}},
+        {"dse": {"ortho_lambdas": 0.01}},
+    ],
+)
+def test_malformed_config_value_exits_1(capsys, tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main_exit(capsys, "report", "--config", path, blame=f"'{next(iter(doc))}'") == 1
 
 
 def test_config_override(chain, tmp_path):

@@ -12,9 +12,7 @@ from spikestage.errors import ValidationError
 def test_iir_hand_example():
     # alpha 0.5, zero start: y0 = 0.5*4 = 2, y1 = 0.5*0 + 0.5*2 = 1
     assert det.smooth([4.0, 0.0], 0.5).tolist() == [2.0, 1.0]
-    y = det.iir_step(0.0, 4.0, 0.5)
-    assert y == 2.0
-    assert det.iir_step(y, 0.0, 0.5) == 1.0
+    assert det.smooth([4.0, 0.0, 8.0], 0.25).tolist() == [1.0, 0.75, 2.5625]
 
 
 def test_smooth_matches_streaming_loop_bitexact():
@@ -24,7 +22,7 @@ def test_smooth_matches_streaming_loop_bitexact():
         expected = np.empty_like(x)
         y = 0.0
         for i, v in enumerate(x):
-            y = det.iir_step(y, v, alpha)
+            y = alpha * v + (1.0 - alpha) * y
             expected[i] = y
         assert np.array_equal(det.smooth(x, alpha), expected)
 
@@ -35,8 +33,9 @@ def test_neo_impulse():
 
 
 def test_neo_hand_values():
-    assert det.neo(1.0, 2.0, 3.0) == 1.0  # 4 - 3
-    assert det.neo(0.0, 5.0, 0.0) == 25.0
+    # out[2] is the energy of the middle sample, one tick late
+    assert det.neo_stream([1.0, 2.0, 3.0]).tolist() == [0.0, 1.0, 1.0]  # 4 - 3
+    assert det.neo_stream([0.0, 5.0, 0.0]).tolist() == [0.0, 0.0, 25.0]
 
 
 def test_neo_sine_identity():

@@ -40,9 +40,10 @@ def naive_forward(model, x):
 def test_infer_float_matches_naive():
     rng = np.random.default_rng(0)
     model = random_model(rng)
-    for _ in range(10):
-        x = rng.normal(size=6)
-        assert np.allclose(nn.infer_float(model, x), naive_forward(model, x), atol=1e-12)
+    X = rng.normal(size=(10, 6))
+    batch = nn.infer_float_batch(model, X)
+    for x, logits in zip(X, batch):
+        assert np.allclose(logits, naive_forward(model, x), atol=1e-12)
 
 
 def test_infer_float_batch_matches_single():
@@ -51,13 +52,23 @@ def test_infer_float_batch_matches_single():
     X = rng.normal(size=(8, 6))
     batch = nn.infer_float_batch(model, X)
     for i in range(8):
-        assert np.allclose(batch[i], nn.infer_float(model, X[i]), atol=1e-12)
+        assert np.allclose(batch[i], nn.infer_float_batch(model, X[i : i + 1])[0], atol=1e-12)
 
 
 def test_classify_ties_take_lowest_index():
-    assert nn.classify(np.array([1.0, 1.0, 0.0])) is nn.SpikeClass.CS
-    assert nn.classify(np.array([0.0, 2.0, 2.0])) is nn.SpikeClass.SS
-    assert nn.classify(np.array([-1.0, -1.0, -1.0])) is nn.SpikeClass.CS
+    # the deployed class is the argmax of the int8 logits; one-hot inputs
+    # pick the weight columns, giving logits [1, 1, 0], [0, 2, 2], [-1, -1, -1]
+    layer = nn.QuantizedLayer(
+        q_weights=np.array([[1, 0, -1], [1, 2, -1], [0, 2, -1]], dtype=np.int8),
+        q_biases=np.zeros(3, dtype=np.int32),
+        activation="linear",
+        input_scale=1.0,
+        weight_scale=1.0,
+        output_scale=1.0,
+    )
+    logits = nn.infer_quantized_batch(nn.QuantizedMlpModel([layer]), np.eye(3, dtype=np.int8))
+    assert logits.tolist() == [[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [-1.0, -1.0, -1.0]]
+    assert logits.argmax(axis=1).tolist() == [nn.SpikeClass.CS, nn.SpikeClass.SS, nn.SpikeClass.CS]
 
 
 def test_model_structure_validation():
@@ -103,7 +114,7 @@ def test_dequantized_weight_error_bound():
         calib = rng.normal(0.0, 20.0, size=(20, 6))
         qmodel = nn.quantize(model, calib)
         for layer, qlayer in zip(model.layers, qmodel.layers):
-            err = np.abs(nn.dequantize_weights(qlayer) - layer.weights)
+            err = np.abs(qlayer.q_weights * qlayer.weight_scale - layer.weights)
             assert np.all(err <= qlayer.weight_scale / 2.0 + 1e-15)
 
 
@@ -117,11 +128,10 @@ def test_quantized_agreement_on_test_split(trained):
 
 def test_infer_quantized_single_matches_batch(trained):
     _, qmodel, test_part, _ = trained
-    for item in test_part[:20]:
-        logits, klass = nn.infer_quantized(qmodel, item.waveform)
-        batch = nn.infer_quantized_batch(qmodel, item.waveform[None, :])
-        assert np.array_equal(logits, batch[0])
-        assert klass == nn.classify(batch[0])
+    X = np.stack([item.waveform for item in test_part[:20]])
+    batch = nn.infer_quantized_batch(qmodel, X)
+    for i in range(len(X)):
+        assert np.array_equal(nn.infer_quantized_batch(qmodel, X[i : i + 1])[0], batch[i])
 
 
 def test_quantize_rejects_oversized_biases():
@@ -166,8 +176,8 @@ def test_save_load_float_roundtrip(tmp_path):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
         assert a.activation == b.activation
-    x = rng.normal(size=6)
-    assert np.array_equal(nn.infer_float(model, x), nn.infer_float(loaded, x))
+    X = rng.normal(size=(4, 6))
+    assert np.array_equal(nn.infer_float_batch(model, X), nn.infer_float_batch(loaded, X))
 
 
 def test_save_load_quantized_roundtrip(tmp_path, trained):
@@ -243,7 +253,7 @@ def test_requantize_rounds_halves_to_even():
 def test_quantized_activation_clipping(trained):
     # inputs far outside the calibration range still stay inside int8
     _, qmodel, _, _ = trained
-    x = np.full(40, 127, dtype=np.int8)
-    logits, klass = nn.infer_quantized(qmodel, x)
+    x = np.full((1, 40), 127, dtype=np.int8)
+    logits = nn.infer_quantized_batch(qmodel, x)
+    assert logits.shape == (1, 3)
     assert np.all(np.isfinite(logits))
-    assert klass in list(nn.SpikeClass)

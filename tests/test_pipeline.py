@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikestage import detector as det
 from spikestage import nn
@@ -167,6 +169,65 @@ def test_capture_detections_matches_run(ten_seconds, trained):
     keep = ticks + 41 <= n - 1
     logits = nn.infer_quantized_batch(qmodel, waveforms[keep])
     assert [int(e.klass) for e in events] == logits.argmax(axis=1).tolist()
+
+
+# Fixed 40-3 int8 model: the sign of the late capture sum, offset by its
+# typical -9 on noise, picks CS or SS, and values near it pick F, so all
+# three classes occur on pulsed noise.
+LATE_SUM = np.r_[np.zeros(20), np.ones(20)]
+SMALL_MODEL = nn.QuantizedMlpModel(
+    [
+        nn.QuantizedLayer(
+            np.stack([LATE_SUM, -LATE_SUM, np.zeros(40)]).astype(np.int8),
+            np.array([9, -9, 5], dtype=np.int32),
+            "linear", 1.0, 1.0, 1.0,
+        )
+    ]
+)
+
+
+@st.composite
+def pulsed_streams(draw):
+    """Noise with 4-tick 450-count pulses anywhere, the last 45 ticks included."""
+    n = draw(st.integers(200, 4000))
+    stream = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, 10.0, size=n)
+    starts = draw(st.lists(st.integers(0, n - 1), max_size=12))
+    starts += [n - k for k in draw(st.lists(st.integers(1, 45), max_size=2))]
+    for t in starts:
+        stream[t : t + 4] = 450.0
+    return stream
+
+
+def check_capture_path(stream, det_cfg, options):
+    """run_pipeline equals Pipeline.step, and equals classifying capture_detections."""
+    step = pl.Pipeline(SMALL_MODEL, det_cfg, options)
+    step_events = step.run(stream)
+    events, stats = pl.run_pipeline(stream, SMALL_MODEL, det_cfg, options)
+    assert events == step_events
+    assert stats.to_dict() == step.stats.to_dict()
+
+    # a capture is classified on the tick after its last sample
+    ticks, waveforms, _ = pl.capture_detections(stream, det_cfg, options)
+    keep = ticks + nn.WAVEFORM_SAMPLES + 1 <= len(stream) - 1
+    klasses = nn.infer_quantized_batch(SMALL_MODEL, waveforms[keep]).argmax(axis=1)
+    assert stats.classify_invocations == int(keep.sum())
+    assert events == [
+        pl.PipelineEvent(int(t), SpikeClass(int(k)))
+        for t, k in zip(ticks[keep], klasses)
+        if options.store_false_positives or k != SpikeClass.F
+    ]
+    return ticks
+
+
+@settings(max_examples=60, deadline=None)
+@given(pulsed_streams(), st.integers(1, 45), st.booleans())
+def test_capture_path_matches_step(stream, classify_ticks, store_false_positives):
+    det_cfg = det.DetectorConfig(convergence_window=256)
+    options = pl.PipelineOptions(classify_ticks, store_false_positives)
+    ticks = check_capture_path(stream, det_cfg, options)
+    if len(ticks):
+        # cut right after the last capture: complete, never classified
+        check_capture_path(stream[: ticks[-1] + nn.WAVEFORM_SAMPLES + 1], det_cfg, options)
 
 
 def test_incomplete_tail_capture(trained):

@@ -336,6 +336,12 @@ def test_evaluate_counts_match_argmax(trained):
     cm_fold = tr.evaluate(model, test_part, quantize_first=True, calibration=processed)
     assert np.array_equal(cm_fold.counts, cm.counts)
 
+    float_pred = nn.infer_float_batch(model, X.astype(np.float64)).argmax(axis=1)
+    expected = np.zeros((3, 3), dtype=np.int64)
+    for t, p in zip(y, float_pred):
+        expected[t, p] += 1
+    assert np.array_equal(tr.evaluate(model, test_part).counts, expected)
+
     with pytest.raises(ValidationError):
         tr.evaluate(qmodel, test_part, quantize_first=True, calibration=processed)
     with pytest.raises(ValidationError):
