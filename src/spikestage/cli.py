@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 
 from . import analysis, detector, nn, pipeline, signal, store, train
 from .errors import FormatError, InfeasibleError, SpikestageError, ValidationError
@@ -56,16 +57,43 @@ def _build_section(name: str, cls, doc: dict):
     unknown = set(doc) - known
     if unknown:
         raise ValidationError(f"config section '{name}' has unknown keys: {sorted(unknown)}")
-    # a value of the wrong JSON type fails a comparison or conversion
+    # a conversion or a __post_init__ comparison can still fail on a bad value
     try:
         if name == "dse":
             if "hidden_ranges" in doc:
                 doc = dict(doc, hidden_ranges=tuple(tuple(r) for r in doc["hidden_ranges"]))
+                for r in doc["hidden_ranges"]:
+                    if len(r) != 2:
+                        raise ValidationError(
+                            "config section 'dse' key 'hidden_ranges' needs [lo, hi] pairs"
+                        )
+                    for v in r:
+                        _check_type(name, "hidden_ranges", v, int)
             if "ortho_lambdas" in doc:
                 doc = dict(doc, ortho_lambdas=tuple(doc["ortho_lambdas"]))
+                for v in doc["ortho_lambdas"]:
+                    _check_type(name, "ortho_lambdas", v, float)
+        for key, value in doc.items():
+            _check_type(name, key, value, typing.get_type_hints(cls)[key])
         return cls(**doc)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"config section '{name}' has a malformed value ({exc})") from exc
+
+
+def _check_type(section: str, key: str, value, hint) -> None:
+    """A config value must have its field's declared type.
+
+    An integer is accepted where a float is declared; true/false are not
+    accepted as numbers.
+    """
+    allowed = typing.get_args(hint) or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        raise ValidationError(
+            f"config section '{section}' key '{key}' must be {names}, not {type(value).__name__}"
+        )
 
 
 def load_config(path=None) -> AppConfig:

@@ -16,6 +16,7 @@ whose CS accuracy is above a floor with 95% confidence.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -164,23 +165,37 @@ def build_dataset(
     if label_window_ms <= 0:
         raise ValidationError("label_window_ms must be positive")
     ticks, waveforms, _ = pl.capture_detections(samples, det_cfg, options)
-    window = label_window_ms * sample_rate_hz / 1000.0
+    labels = label_detections(ticks, annotations, label_window_ms * sample_rate_hz / 1000.0)
+    classes = list(SpikeClass)
+    return [
+        LabeledWaveform(waveform, classes[label], int(t))
+        for t, waveform, label in zip(ticks, waveforms, labels)
+    ]
+
+
+def label_detections(ticks, annotations: list[Annotation], window: float) -> np.ndarray:
+    """Class of each detection tick: its nearest annotation's, or F beyond `window`.
+
+    The nearest annotation is one of the two around the tick's insertion
+    point in the annotation ticks; on a tie the earlier one wins, and a
+    distance of exactly `window` still counts.
+    """
+    ticks = np.asarray(ticks, dtype=np.int64)
+    labels = np.full(len(ticks), int(SpikeClass.F), dtype=np.int64)
+    if not annotations:
+        return labels
     ann_ticks = np.array([a.sample_index for a in annotations], dtype=np.float64)
-    dataset = []
-    for t, waveform in zip(ticks, waveforms):
-        label = SpikeClass.F
-        if len(ann_ticks):
-            j = int(np.searchsorted(ann_ticks, t))
-            best, dist = None, None
-            for cand in (j - 1, j):
-                if 0 <= cand < len(ann_ticks):
-                    d = abs(ann_ticks[cand] - t)
-                    if dist is None or d < dist:
-                        best, dist = cand, d
-            if best is not None and dist <= window:
-                label = annotations[best].label
-        dataset.append(LabeledWaveform(waveform, label, int(t)))
-    return dataset
+    ann_labels = np.array([int(a.label) for a in annotations], dtype=np.int64)
+    j = np.searchsorted(ann_ticks, ticks)
+    # clamped at the ends, where both name the one neighbouring annotation
+    before, after = np.maximum(j - 1, 0), np.minimum(j, len(ann_ticks) - 1)
+    d_before = np.abs(ann_ticks[before] - ticks)
+    d_after = np.abs(ann_ticks[after] - ticks)
+    take_after = d_after < d_before
+    nearest = np.where(take_after, after, before)
+    near = np.minimum(d_before, d_after) <= window
+    labels[near] = ann_labels[nearest[near]]
+    return labels
 
 
 def save_dataset(path, dataset: list[LabeledWaveform]) -> None:
@@ -210,12 +225,21 @@ def load_dataset(path) -> list[LabeledWaveform]:
             try:
                 doc = json.loads(line)
                 label = SpikeClass[doc["label"]]
-                waveform = np.array(doc["waveform"], dtype=np.int64)
-                tick = int(doc["tick"])
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                waveform = np.array(doc["waveform"])
+                tick = doc["tick"]
+            except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed dataset line ({exc})") from exc
+            if type(tick) is not int:
+                raise FormatError(f"{path}:{lineno}: tick must be an integer")
             if waveform.shape != (WAVEFORM_SAMPLES,):
                 raise FormatError(f"{path}:{lineno}: waveform must have {WAVEFORM_SAMPLES} samples")
+            # floats, strings, null, all-true/false lists and integers beyond
+            # int64 give the array another dtype kind; numpy promotes a
+            # true/false among integers to an integer, so look for one
+            if waveform.dtype.kind != "i" or (
+                (b"true" in line or b"false" in line) and bool in map(type, doc["waveform"])
+            ):
+                raise FormatError(f"{path}:{lineno}: waveform values must be int8 integers")
             if waveform.min() < -128 or waveform.max() > 127:
                 raise FormatError(f"{path}:{lineno}: waveform values outside int8 range")
             dataset.append(LabeledWaveform(waveform.astype(np.int8), label, tick))
@@ -321,27 +345,75 @@ def init_model(topology, rng: np.random.Generator) -> MlpModel:
     return MlpModel(layers)
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.setflags(write=False)  # one array is handed to every caller
+    return eye
+
+
+def _gram_deviation(w: np.ndarray) -> np.ndarray:
+    """W^T W - I: the orthogonality penalty and its gradient are both built on it."""
+    return w.T @ w - _identity(w.shape[1])
+
+
+def _penalty(grams) -> float:
+    total = 0.0
+    for gram in grams:
+        total += float((gram * gram).sum())
+    return total
+
+
+def _softmax_terms(logits: np.ndarray, y: np.ndarray, rows: np.ndarray):
+    """exp(logits - max), its row sums, and the mean cross entropy they give."""
+    peak = logits.max(axis=1, keepdims=True)
+    exps = np.exp(logits - peak)
+    total = exps.sum(axis=1, keepdims=True)
+    ce = float((np.log(total[:, 0]) + peak[:, 0] - logits[rows, y]).sum() / len(y))
+    return exps, total, ce
+
+
 def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     """Mean softmax cross entropy straight from logits (log-sum-exp form)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    return float(np.mean(lse - logits[np.arange(len(y)), y]))
+    return _softmax_terms(logits, y, np.arange(len(y)))[2]
 
 
 def ortho_penalty(model: MlpModel) -> float:
     """Sum over layers of ||W^T W - I||_F^2."""
-    total = 0.0
+    return _penalty(_gram_deviation(layer.weights) for layer in model.layers)
+
+
+def _param_views(model: MlpModel, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, biases) views of one flat buffer, shaped like the model's layers.
+
+    The buffer holds each layer's weights (row-major) and then its biases,
+    layer by layer, so one elementwise operation on it covers every parameter.
+    """
+    views, pos = [], 0
     for layer in model.layers:
-        w = layer.weights
-        gram = w.T @ w - np.eye(w.shape[1])
-        total += float(np.sum(gram * gram))
-    return total
+        n_out, n_in = layer.weights.shape
+        w = flat[pos : pos + n_out * n_in].reshape(n_out, n_in)
+        pos += n_out * n_in
+        views.append((w, flat[pos : pos + n_out]))
+        pos += n_out
+    return views
 
 
 def loss_and_grads(
-    model: MlpModel, X: np.ndarray, y: np.ndarray, ortho_lambda: float
+    model: MlpModel,
+    X: np.ndarray,
+    y: np.ndarray,
+    ortho_lambda: float,
+    out: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Total loss and its gradients for every (weights, biases) pair."""
+    """Total loss and its gradients for every (weights, biases) pair.
+
+    The gradients are written into `out`, (weights, biases) arrays shaped
+    like the model's layers; without it, into views of a new flat buffer.
+    """
+    if out is None:
+        size = sum(layer.weights.size + layer.biases.size for layer in model.layers)
+        out = _param_views(model, np.empty(size))
     acts = [np.asarray(X, dtype=np.float64)]
     pre = []
     for layer in model.layers:
@@ -349,29 +421,26 @@ def loss_and_grads(
         pre.append(z)
         acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
 
-    logits = acts[-1]
-    loss = cross_entropy(logits, y) + ortho_lambda * ortho_penalty(model)
+    rows = np.arange(len(y))
+    probs, total, ce = _softmax_terms(acts[-1], y, rows)
+    grams = [_gram_deviation(layer.weights) for layer in model.layers] if ortho_lambda else []
+    loss = ce + ortho_lambda * _penalty(grams)
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= total
     delta = probs
-    delta[np.arange(len(y)), y] -= 1.0
+    delta[rows, y] -= 1.0
     delta /= len(y)
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        gw = delta.T @ acts[i]
-        gb = delta.sum(axis=0)
+        w = model.layers[i].weights
+        gw, gb = out[i]
+        np.matmul(delta.T, acts[i], out=gw)
+        delta.sum(axis=0, out=gb)
         if ortho_lambda:
-            w = layer.weights
-            gw = gw + ortho_lambda * 4.0 * (w @ (w.T @ w - np.eye(w.shape[1])))
-        grads[i] = (gw, gb)
+            gw += ortho_lambda * 4.0 * (w @ grams[i])
         if i:
-            delta = delta @ layer.weights
+            delta = delta @ w
             delta = np.where(pre[i - 1] > 0.0, delta, 0.0)
-    return loss, grads
+    return loss, out
 
 
 @dataclass
@@ -435,38 +504,43 @@ def train_mlp(
         Xv = Xv / INPUT_NORM
 
     model = init_model(topology, rng)
-    adam_m = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
-    adam_v = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
+    # every parameter, gradient and Adam moment lives in one flat buffer;
+    # the layers' weights and biases are views into `params`
+    params = np.concatenate([a.ravel() for l in model.layers for a in (l.weights, l.biases)])
+    for layer, (w, b) in zip(model.layers, _param_views(model, params)):
+        layer.weights, layer.biases = w, b
+    grad = np.zeros_like(params)
+    grads = _param_views(model, grad)
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
     step = 0
 
     log = TrainingLog()
     best_val = math.inf
-    best_weights = [(l.weights.copy(), l.biases.copy()) for l in model.layers]
+    best_params = params.copy()
     bad_epochs = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(X))
         epoch_loss = 0.0
         for start in range(0, len(X), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grads = loss_and_grads(model, X[batch], y[batch], cfg.ortho_lambda)
+            loss, _ = loss_and_grads(model, X[batch], y[batch], cfg.ortho_lambda, grads)
             epoch_loss += loss * len(batch)
             step += 1
             bc1 = 1.0 - cfg.beta1**step
             bc2 = 1.0 - cfg.beta2**step
-            for layer, m, v, (gw, gb) in zip(model.layers, adam_m, adam_v, grads):
-                for param, grad, mm, vv in ((layer.weights, gw, m[0], v[0]), (layer.biases, gb, m[1], v[1])):
-                    mm *= cfg.beta1
-                    mm += (1.0 - cfg.beta1) * grad
-                    vv *= cfg.beta2
-                    vv += (1.0 - cfg.beta2) * grad * grad
-                    param -= cfg.learning_rate * (mm / bc1) / (np.sqrt(vv / bc2) + cfg.adam_epsilon)
+            adam_m *= cfg.beta1
+            adam_m += (1.0 - cfg.beta1) * grad
+            adam_v *= cfg.beta2
+            adam_v += (1.0 - cfg.beta2) * grad * grad
+            params -= cfg.learning_rate * (adam_m / bc1) / (np.sqrt(adam_v / bc2) + cfg.adam_epsilon)
 
         entry = {"epoch": epoch, "train_loss": epoch_loss / len(X)}
         if val_set:
             entry["val_loss"] = cross_entropy(infer_float_batch(model, Xv), yv)
             if entry["val_loss"] < best_val:
                 best_val = entry["val_loss"]
-                best_weights = [(l.weights.copy(), l.biases.copy()) for l in model.layers]
+                best_params = params.copy()
                 log.best_epoch = epoch
                 bad_epochs = 0
             else:
@@ -477,9 +551,7 @@ def train_mlp(
             break
 
     if val_set:
-        for layer, (w, b) in zip(model.layers, best_weights):
-            layer.weights = w
-            layer.biases = b
+        params[:] = best_params
     else:
         log.best_epoch = len(log.entries) - 1
     model.layers[0].weights /= INPUT_NORM  # fold: consume raw capture codes

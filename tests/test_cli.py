@@ -358,7 +358,13 @@ def test_malformed_dataset_exits_2(capsys, tmp_path):
     line = {"tick": 5, "label": "SS", "waveform": [0] * 40}
     ds = tmp_path / "ds.jsonl"
     train = ("train", "--dataset", ds, "--topology", "40,3", "--out", tmp_path / "m.json")
-    for bad in ({"tick": "abc"}, {"waveform": ["x"] * 40}, {"waveform": [2**70] + [0] * 39}):
+    for bad in (
+        {"tick": "abc"},
+        {"tick": 5.5},
+        {"waveform": ["x"] * 40},
+        {"waveform": [2**70] + [0] * 39},
+        {"waveform": [1.5] * 40},
+    ):
         ds.write_text(json.dumps(dict(line, **bad)) + "\n")
         assert main_exit(capsys, *train, blame="ds.jsonl:1") == 2
     ds.write_bytes(json.dumps(line).encode() + b"\n\xff\xfe\n")
@@ -381,12 +387,33 @@ def test_non_utf8_files_exit_cleanly(capsys, model_files):
         {"train": {"epochs": "3"}},
         {"dse": {"hidden_ranges": 5}},
         {"dse": {"ortho_lambdas": 0.01}},
+        {"train": {"batch_size": 2.5}},
+        {"recording": {"seed": "x"}},
+        {"recording": {"seed": True}},
+        {"dse": {"descending_sizes": 1}},
+        {"resources": {"detector_energy_basis": None}},
+        {"detector": {"alpha_signal": None}},
+        {"dse": {"ortho_lambdas": ["a"]}},
+        {"dse": {"hidden_ranges": [[1, "x"], [1, 2], [1, 2], [1, 2]]}},
+        {"dse": {"hidden_ranges": [[1], [1, 2], [1, 2], [1, 2]]}},
     ],
 )
 def test_malformed_config_value_exits_1(capsys, tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert main_exit(capsys, "report", "--config", path, blame=f"'{next(iter(doc))}'") == 1
+
+
+def test_config_value_types(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    # an integer where a float is declared, and null where the field allows it
+    path.write_text(json.dumps({"train": {"learning_rate": 1}, "detector": {"neo_clip_ratio": None}}))
+    assert main_exit(capsys, "report", "--config", path) == 0
+    ds = tmp_path / "ds.jsonl"
+    ds.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40}) + "\n")
+    path.write_text(json.dumps({"train": {"batch_size": 2.5}}))
+    train = ("train", "--dataset", ds, "--topology", "40,3", "--out", tmp_path / "m.json")
+    assert main_exit(capsys, *train, "--config", path, blame="'train'") == 1
 
 
 def test_config_override(chain, tmp_path):

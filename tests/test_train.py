@@ -1,10 +1,14 @@
+import hashlib
 import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import spikestage as sp
 from spikestage import nn
 from spikestage import train as tr
 from spikestage.analysis import overall_accuracy
@@ -51,6 +55,45 @@ def test_build_dataset_labeling(recording, dataset):
         else:
             assert dist <= window
             assert ann_label[nearest] is item.label
+
+
+def nearest_label_oracle(ticks, annotations, window):
+    """The per-detection labeling loop build_dataset ran before it was vectorized."""
+    ann_ticks = np.array([a.sample_index for a in annotations], dtype=np.float64)
+    labels = []
+    for t in ticks:
+        label = SpikeClass.F
+        if len(ann_ticks):
+            j = int(np.searchsorted(ann_ticks, t))
+            best, dist = None, None
+            for cand in (j - 1, j):
+                if 0 <= cand < len(ann_ticks):
+                    d = abs(ann_ticks[cand] - t)
+                    if dist is None or d < dist:
+                        best, dist = cand, d
+            if best is not None and dist <= window:
+                label = annotations[best].label
+        labels.append(int(label))
+    return labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ann=st.lists(
+        st.tuples(st.integers(0, 200), st.sampled_from(list(SpikeClass))), max_size=12
+    ),
+    ticks=st.lists(st.integers(-20, 220), max_size=30),
+    window=st.sampled_from([0.5, 1.0, 3.0, 4.5, 10.0, 24.414]),
+)
+@example(ann=[(10, SpikeClass.CS), (20, SpikeClass.SS)], ticks=[15, 12, 18, 5, 25, 9], window=5.0)
+@example(ann=[(10, SpikeClass.CS), (10, SpikeClass.SS)], ticks=[10, 7, 13], window=3.0)
+@example(ann=[], ticks=[0, 5], window=1.0)
+def test_label_detections_matches_loop(ann, ticks, window):
+    # ties, no annotations, ticks before the first and after the last
+    # annotation, distances of exactly the window, repeated annotation ticks
+    annotations = [sp.Annotation(t, k) for t, k in sorted(ann, key=lambda a: a[0])]
+    labels = tr.label_detections(np.array(ticks, dtype=np.int64), annotations, window)
+    assert labels.tolist() == nearest_label_oracle(ticks, annotations, window)
 
 
 def test_build_dataset_validation():
@@ -100,6 +143,32 @@ def test_load_dataset_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [200] + [0] * 39}) + "\n")
     with pytest.raises(FormatError):
         tr.load_dataset(path)
+
+    # non-integers are rejected, not truncated or promoted
+    for bad in (
+        {"waveform": [1.5] * 40},
+        {"waveform": [1] * 39 + [1.0]},
+        {"waveform": [True] * 40},
+        {"waveform": [0] * 39 + [True]},
+        {"waveform": [0] * 39 + [False]},
+        {"waveform": ["1"] * 40},
+        {"waveform": [0] * 39 + [None]},
+        {"waveform": [2**63] + [0] * 39},
+        {"waveform": [2**63, -1] + [0] * 38},
+        {"waveform": 5},
+        {"tick": 5.0},
+        {"tick": 5.5},
+        {"tick": "5"},
+        {"tick": True},
+        {"tick": None},
+    ):
+        path.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40, **bad}) + "\n")
+        with pytest.raises(FormatError):
+            tr.load_dataset(path)
+
+    # a true elsewhere on the line does not make an integer waveform invalid
+    path.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40, "note": True}) + "\n")
+    assert tr.load_dataset(path)[0].waveform.tolist() == [0] * 40
 
     path.write_text(good + "\n\n" + good + "\n")
     assert len(tr.load_dataset(path)) == 2
@@ -315,6 +384,43 @@ def test_training_log_jsonl(tmp_path):
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines[0]["epoch"] == 0
     assert lines[-1] == {"best_epoch": 0, "stopped_early": True}
+
+
+# sha256 of the bytes the per-array train step produced, which the flat-buffer
+# step must reproduce; reordering any floating-point operation changes it.
+# Matrix products come from numpy's BLAS, so another numpy build may need the
+# digest recomputed at a commit known to be good.
+GOLDEN_TRAINING_SHA256 = "899c973f59efaae20e1a3833df12f31a62b7c987f9babe8d79fb44d50738671b"
+
+
+def training_digest() -> str:
+    """sha256 over weights, biases and logs of eight trainings, plus one 3-fold CV.
+
+    The trainings cover two topologies, ortho_lambda 0.01 and 0, and runs with
+    and without a validation split (early stopping, best-weight restore).
+    """
+    ds = make_cluster_dataset((30, 24, 18), seed=8, spread=60.0)
+    h = hashlib.sha256()
+    for topology in ((40, 6, 3), (40, 5, 4, 3)):
+        for lam in (0.01, 0.0):
+            for val_fraction in (0.15, 0.0):
+                cfg = tr.TrainConfig(
+                    epochs=25, patience=3, val_fraction=val_fraction, batch_size=16,
+                    learning_rate=3e-2, ortho_lambda=lam,
+                )
+                model, log = tr.train_mlp(ds, topology, cfg, seed=5)
+                for layer in model.layers:
+                    h.update(layer.weights.tobytes())
+                    h.update(layer.biases.tobytes())
+                h.update(json.dumps([log.entries, log.best_epoch, log.stopped_early]).encode())
+    cv = tr.cross_validate(ds, (40, 5, 4, 3), _quick_cfg(epochs=6), folds=3, seed=3)
+    h.update(json.dumps([cv.per_class[k].fold_values for k in SpikeClass]).encode())
+    h.update(b"".join(cm.counts.tobytes() for cm in cv.matrices))
+    return h.hexdigest()
+
+
+def test_training_bytes_are_pinned():
+    assert training_digest() == GOLDEN_TRAINING_SHA256
 
 
 # ---------------------------------------------------------------------------
