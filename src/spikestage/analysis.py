@@ -213,11 +213,12 @@ def write_trace_csv(path, samples, trace, events, limit: int | None = None) -> N
     n = len(samples) if limit is None else min(limit, len(samples))
     marks = {e.timestamp: e.klass.name for e in events}
     converged = trace.converged_tick
+    # plain floats: csv writes them with repr, which round-trips through float()
+    y, y_neo = trace.y[:n].tolist(), trace.y_neo[:n].tolist()
+    threshold = float(trace.threshold)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick", "raw", "smoothed", "energy", "threshold", "event"])
         for i in range(n):
-            thr = trace.threshold if converged is not None and i >= converged else 0.0
-            writer.writerow(
-                [i, int(samples[i]), repr(trace.y[i]), repr(trace.y_neo[i]), repr(thr), marks.get(i, "")]
-            )
+            thr = threshold if converged is not None and i >= converged else 0.0
+            writer.writerow([i, int(samples[i]), y[i], y_neo[i], thr, marks.get(i, "")])

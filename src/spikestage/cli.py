@@ -16,7 +16,7 @@ model, event log) can be produced, inspected, and fed forward on its own:
 
 Optional JSON config file (--config) with one object per section; unknown
 sections or keys are rejected.  Exit codes: 0 success, 1 invalid arguments
-or config, 2 malformed input file, 3 no feasible result.
+or config, 2 malformed or unreadable file, 3 no feasible result.
 """
 
 from __future__ import annotations
@@ -133,6 +133,17 @@ class _Parser(argparse.ArgumentParser):
     # exception the config loader uses.
     def error(self, message):
         raise ValidationError(message)
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy's generators take non-negative seeds only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return value
 
 
 def _emit(doc: dict) -> None:
@@ -344,11 +355,7 @@ def cmd_run(args) -> int:
     events, stats = pipeline.run_pipeline(samples, model, cfg.detector, options)
     if args.events_csv is not None:
         pipeline.write_events_csv(args.events_csv, events)
-    stored = [
-        store.EventRecord(e.timestamp, e.klass)
-        for e in events
-        if e.klass is not nn.SpikeClass.F
-    ]
+    stored = [e for e in events if e.klass is not nn.SpikeClass.F]
     store.write_event_log(args.out, stored, rec_cfg.sample_rate_hz)
     if args.stats is not None:
         with open(args.stats, "w", encoding="utf-8") as fh:
@@ -432,7 +439,7 @@ def build_parser() -> _Parser:
     p = add("generate", cmd_generate, "synthesize a recording and annotations")
     p.add_argument("--out", required=True, help="output recording file")
     p.add_argument("--annotations", required=True, help="output annotations CSV")
-    p.add_argument("--seed", type=int, default=None, help="override recording.seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override recording.seed")
     p.add_argument("--duration-s", type=float, default=None, help="override recording.duration_s")
 
     p = add("detect", cmd_detect, "run the detector over a recording")
@@ -452,7 +459,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True, help="dataset JSONL")
     p.add_argument("--topology", required=True, help="layer sizes, e.g. 40,8,8,3,3,3")
     p.add_argument("--out", required=True, help="output model JSON")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--ortho-lambda", type=float, default=None, help="override train.ortho_lambda")
     p.add_argument("--log", default=None, help="write per-epoch JSONL log here")
 
@@ -465,7 +472,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True, help="dataset JSONL")
     p.add_argument("--grid", choices=("table3", "full"), default="table3")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="write full results JSON here")
 
     p = add("run", cmd_run, "detect and classify, write a binary event log")
@@ -497,26 +504,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+# exit code of each exception a command may raise; the most derived class wins
+_EXIT_CODES = {
+    ValidationError: 1,
+    FormatError: 2,
+    InfeasibleError: 3,
+    SpikestageError: 1,
+    OSError: 2,  # a missing, unreadable or unwritable file
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SpikestageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,10 @@ huge excursions (spikes; that is the whole point of the detector) delay
 neither convergence nor stability.  All arithmetic is double precision.
 
 The per-tick detector_step drives the state machine and is the reference;
-detector_trace computes the same values for a whole recording with array
-passes and is what the vectorized pipeline uses.  They are bit-identical.
+detector_trace computes the same values for a whole recording and is what
+the vectorized pipeline uses.  They are bit-identical: the smoothers and the
+energy operator run as array passes, and both feed the one threshold rule,
+threshold_update, tick by tick until it latches.
 """
 
 from __future__ import annotations
@@ -159,39 +161,6 @@ class DetectorTrace:
     threshold: float  # frozen threshold (0.0 when never converged)
 
 
-def _converge(y_neo: np.ndarray, cfg: DetectorConfig) -> tuple[int | None, float]:
-    """Run the threshold EMA until convergence; returns (tick, threshold).
-
-    Mirrors threshold_update exactly, stopping at the tick where the
-    converged flag latches.  Returns (None, 0.0) if the stream ends first.
-    """
-    alpha = cfg.alpha_threshold
-    beta = 1.0 - alpha
-    gain = cfg.threshold_gain
-    eps = cfg.convergence_epsilon
-    window = cfg.convergence_window
-    clip = cfg.neo_clip_ratio
-    mean = 0.0
-    threshold = 0.0
-    run = 0
-    for tick in range(len(y_neo)):
-        value = y_neo[tick]
-        if clip is not None and mean > 0.0:
-            limit = clip * mean
-            if value > limit:
-                value = limit
-        prev = threshold
-        mean = alpha * value + beta * mean
-        threshold = gain * mean
-        if prev > 0.0 and abs(threshold - prev) / prev < eps:
-            run += 1
-        else:
-            run = 0
-        if run >= window:
-            return tick, threshold
-    return None, 0.0
-
-
 def detector_trace(samples: np.ndarray, cfg: DetectorConfig) -> DetectorTrace:
     """Smooth, energy-transform, and converge the threshold over a recording.
 
@@ -200,8 +169,14 @@ def detector_trace(samples: np.ndarray, cfg: DetectorConfig) -> DetectorTrace:
     """
     y = smooth(samples, cfg.alpha_signal)
     y_neo = smooth(neo_stream(y), cfg.alpha_neo)
-    converged_tick, threshold = _converge(y_neo, cfg)
-    return DetectorTrace(y=y, y_neo=y_neo, converged_tick=converged_tick, threshold=threshold)
+    state = DetectorState()
+    # a memoryview yields Python floats, which the scalar rule runs on fastest
+    for tick, value in enumerate(memoryview(y_neo)):
+        state.y_neo = value
+        threshold_update(state, cfg)
+        if state.converged:
+            return DetectorTrace(y=y, y_neo=y_neo, converged_tick=tick, threshold=state.threshold)
+    return DetectorTrace(y=y, y_neo=y_neo, converged_tick=None, threshold=0.0)
 
 
 def detection_candidates(trace: DetectorTrace) -> np.ndarray:

@@ -5,10 +5,12 @@ A four-state machine consumes one ADC sample per tick:
     INIT        threshold updating enabled; leaves for RUNNING once the
                 detector's convergence flag latches
     RUNNING     threshold frozen; a detection moves to DETECTED
-    DETECTED    appends the smoothed sample (divided by 4, clamped to int8)
-                to the capture buffer; after the 40th sample, CLASSIFYING
-    CLASSIFYING runs the quantized classifier once, emits at most one event,
-                occupies classify_ticks ticks, then returns to RUNNING
+    DETECTED    appends the smoothed sample to the capture buffer; after
+                the 40th sample, CLASSIFYING
+    CLASSIFYING quantizes the buffer (divided by 4, floored, clamped to
+                int8), runs the quantized classifier once, emits at most
+                one event, occupies classify_ticks ticks, then returns to
+                RUNNING
 
 New detections are ignored outside RUNNING, so honored detections are at
 least 40 + classify_ticks ticks apart and each one captures exactly 40
@@ -19,17 +21,16 @@ The Pipeline class steps tick by tick and is the behavioural reference.
 run_pipeline computes the identical result from whole-stream array passes
 and is what the CLI uses; capture_detections shares its capture path
 (detector pass, honored spacing, complete captures, gather) so training
-data is captured exactly as deployed.  The pipeline is single-threaded by
+data is captured exactly as deployed.  Both paths quantize captures with
+the one quantize_capture_array.  The pipeline is single-threaded by
 construction; instances must not be shared.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .nn import (
     SpikeClass,
     infer_quantized_batch,
 )
+from .store import EventRecord as PipelineEvent
 
 
 class FsmState(Enum):
@@ -50,11 +52,6 @@ class FsmState(Enum):
     RUNNING = "running"
     DETECTED = "detected"
     CLASSIFYING = "classifying"
-
-
-class PipelineEvent(NamedTuple):
-    timestamp: int  # detection tick
-    klass: SpikeClass
 
 
 @dataclass(frozen=True)
@@ -86,39 +83,25 @@ class RunStats:
     threshold: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "total_ticks": self.total_ticks,
-            "init_ticks": self.init_ticks,
-            "running_ticks": self.running_ticks,
-            "detected_ticks": self.detected_ticks,
-            "classifying_ticks": self.classifying_ticks,
-            "detections": self.detections,
-            "classify_invocations": self.classify_invocations,
-            "class_counts": dict(self.class_counts),
-            "events_emitted": self.events_emitted,
-            "converged_tick": self.converged_tick,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
 
-def quantize_capture(y: float) -> int:
-    """Smoothed sample -> stored int8 count: divide by 4, floor, clamp.
+def quantize_capture_array(y) -> np.ndarray:
+    """Smoothed samples -> stored int8 counts: divide by 4, floor, clamp.
 
     The divide-by-4 drops the two least significant bits of a 10-bit ADC
     value, which is a floor toward minus infinity in two's complement.
     """
-    q = math.floor(y * 0.25)
-    if q < ACT_QMIN:
-        return ACT_QMIN
-    if q > ACT_QMAX:
-        return ACT_QMAX
-    return q
-
-
-def quantize_capture_array(y: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(np.asarray(y, dtype=np.float64) * 0.25), ACT_QMIN, ACT_QMAX).astype(
         np.int8
     )
+
+
+def _check_width(model: QuantizedMlpModel) -> None:
+    if model.topology[0] != WAVEFORM_SAMPLES:
+        raise ValidationError(
+            f"pipeline model must take {WAVEFORM_SAMPLES} inputs, got {model.topology[0]}"
+        )
 
 
 class Pipeline:
@@ -130,17 +113,14 @@ class Pipeline:
         det_cfg: det.DetectorConfig | None = None,
         options: PipelineOptions | None = None,
     ):
-        if model.topology[0] != WAVEFORM_SAMPLES:
-            raise ValidationError(
-                f"pipeline model must take {WAVEFORM_SAMPLES} inputs, got {model.topology[0]}"
-            )
+        _check_width(model)
         self.model = model
         self.det_cfg = det_cfg or det.DetectorConfig()
         self.options = options or PipelineOptions()
         self.detector = det.DetectorState()
         self.fsm = FsmState.INIT
         self.stats = RunStats()
-        self._buffer: list[int] = []
+        self._buffer: list[float] = []  # smoothed samples of the capture
         self._detection_tick = 0
         self._countdown = 0
         self._last_event_ts: int | None = None
@@ -179,7 +159,7 @@ class Pipeline:
                 self.fsm = FsmState.DETECTED
         elif state is FsmState.DETECTED:
             stats.detected_ticks += 1
-            self._buffer.append(quantize_capture(self.detector.y_signal))
+            self._buffer.append(self.detector.y_signal)
             if len(self._buffer) == WAVEFORM_SAMPLES:
                 self._countdown = self.options.classify_ticks
                 self.fsm = FsmState.CLASSIFYING
@@ -193,7 +173,7 @@ class Pipeline:
         return event
 
     def _classify(self) -> PipelineEvent | None:
-        waveform = np.array(self._buffer, dtype=np.int8)
+        waveform = quantize_capture_array(self._buffer)
         logits = infer_quantized_batch(self.model, waveform[None, :])[0]
         klass = SpikeClass(int(np.argmax(logits)))
         stats = self.stats
@@ -278,10 +258,7 @@ def run_pipeline(
     Produces the same events and the same stats as the tick-by-tick
     reference, from vectorized passes.
     """
-    if model.topology[0] != WAVEFORM_SAMPLES:
-        raise ValidationError(
-            f"pipeline model must take {WAVEFORM_SAMPLES} inputs, got {model.topology[0]}"
-        )
+    _check_width(model)
     options = options or PipelineOptions()
     trace, honored, complete = _capture_path(samples, det_cfg, options)
     n = len(samples)

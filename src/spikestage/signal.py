@@ -58,6 +58,8 @@ class RecordingConfig:
             raise ValidationError("adc_bits must be in [2, 16]")
         if self.duration_s <= 0:
             raise ValidationError("duration_s must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
 
     @property
     def num_samples(self) -> int:
@@ -263,23 +265,27 @@ def write_annotations(path, annotations: list[Annotation]) -> None:
 
 def read_annotations(path) -> list[Annotation]:
     annotations: list[Annotation] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["sample_index", "label"]:
-            raise FormatError(f"{path}: expected header sample_index,label")
-        prev = -1
-        for row in reader:
-            if len(row) != 2:
-                raise FormatError(f"{path}: malformed row {row!r}")
-            try:
-                index = int(row[0])
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad sample index {row[0]!r}") from exc
-            if row[1] not in (SpikeClass.SS.name, SpikeClass.CS.name):
-                raise FormatError(f"{path}: unknown label {row[1]!r}")
-            if index <= prev:
-                raise FormatError(f"{path}: sample indices must be strictly increasing")
-            prev = index
-            annotations.append(Annotation(index, SpikeClass[row[1]]))
+    # the reader decodes and splits lazily, so both errors surface in the loop
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["sample_index", "label"]:
+                raise FormatError(f"{path}: expected header sample_index,label")
+            prev = -1
+            for row in reader:
+                if len(row) != 2:
+                    raise FormatError(f"{path}: malformed row {row!r}")
+                try:
+                    index = int(row[0])
+                except ValueError as exc:
+                    raise FormatError(f"{path}: bad sample index {row[0]!r}") from exc
+                if row[1] not in (SpikeClass.SS.name, SpikeClass.CS.name):
+                    raise FormatError(f"{path}: unknown label {row[1]!r}")
+                if index <= prev:
+                    raise FormatError(f"{path}: sample indices must be strictly increasing")
+                prev = index
+                annotations.append(Annotation(index, SpikeClass[row[1]]))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: unreadable annotations CSV ({exc})") from exc
     return annotations

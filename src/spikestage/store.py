@@ -40,8 +40,10 @@ RECORD_BYTES = 4
 
 
 class EventRecord(NamedTuple):
-    timestamp: int  # sample ticks since stream start
-    klass: SpikeClass  # SS or CS; F is rejected by pack
+    """One classified detection; the pipeline emits it as PipelineEvent."""
+
+    timestamp: int  # detection tick, in sample ticks since stream start
+    klass: SpikeClass  # any class, but pack stores only SS and CS
 
 
 def pack(event: EventRecord) -> int:

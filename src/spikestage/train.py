@@ -255,27 +255,22 @@ def dataset_arrays(dataset: list[LabeledWaveform]) -> tuple[np.ndarray, np.ndarr
     return X, y
 
 
-def _class_indices(dataset) -> dict[SpikeClass, list[int]]:
-    groups: dict[SpikeClass, list[int]] = {k: [] for k in SpikeClass}
-    for i, item in enumerate(dataset):
-        groups[item.label].append(i)
-    return groups
+def _class_rows(dataset) -> list[np.ndarray]:
+    """Row indices of each class, in SpikeClass order, each ascending."""
+    labels = np.array([int(item.label) for item in dataset], dtype=np.int64)
+    return [np.flatnonzero(labels == klass) for klass in SpikeClass]
 
 
 def balance_classes(dataset: list[LabeledWaveform], seed: int) -> list[LabeledWaveform]:
     """Downsample every class to the minority class count, preserving order."""
-    groups = _class_indices(dataset)
-    if any(len(v) == 0 for v in groups.values()):
-        missing = [k.name for k, v in groups.items() if not v]
+    rows = _class_rows(dataset)
+    missing = [klass.name for klass, r in zip(SpikeClass, rows) if not len(r)]
+    if missing:
         raise ValidationError(f"cannot balance dataset with empty classes: {missing}")
-    target = min(len(v) for v in groups.values())
+    target = min(len(r) for r in rows)
     rng = np.random.default_rng(seed)
-    keep: list[int] = []
-    for klass in SpikeClass:
-        chosen = rng.choice(len(groups[klass]), size=target, replace=False)
-        keep.extend(groups[klass][i] for i in chosen)
-    keep.sort()
-    return [dataset[i] for i in keep]
+    keep = np.concatenate([r[rng.choice(len(r), size=target, replace=False)] for r in rows])
+    return [dataset[i] for i in np.sort(keep)]
 
 
 def filter_outliers(
@@ -312,15 +307,13 @@ def train_test_split(
     if not 0.0 < test_fraction < 1.0:
         raise ValidationError("test_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    test_idx: set[int] = set()
-    for klass, idx in _class_indices(dataset).items():
-        if not idx:
-            continue
-        n_test = int(round(len(idx) * test_fraction))
-        chosen = rng.permutation(len(idx))[:n_test]
-        test_idx.update(idx[i] for i in chosen)
-    train = [item for i, item in enumerate(dataset) if i not in test_idx]
-    test = [item for i, item in enumerate(dataset) if i in test_idx]
+    held = np.zeros(len(dataset), dtype=bool)
+    for rows in _class_rows(dataset):
+        if len(rows):
+            n_test = int(round(len(rows) * test_fraction))
+            held[rows[rng.permutation(len(rows))[:n_test]]] = True
+    train = [dataset[i] for i in np.flatnonzero(~held)]
+    test = [dataset[i] for i in np.flatnonzero(held)]
     return train, test
 
 
@@ -486,16 +479,20 @@ def train_mlp(
     val_set: list[LabeledWaveform] = []
     train_set = dataset
     if cfg.val_fraction > 0 and len(dataset) >= 2:
-        train_set, val_set = [], []
-        for klass, idx in _class_indices(dataset).items():
-            if not idx:
+        # both parts are grouped by class, in class order
+        train_rows, val_rows = [], []
+        for rows in _class_rows(dataset):
+            if not len(rows):
                 continue
-            n_val = int(round(len(idx) * cfg.val_fraction))
-            if len(idx) > 1:
-                n_val = max(1, min(n_val, len(idx) - 1))
-            chosen = set(rng.permutation(len(idx))[:n_val].tolist())
-            for pos, i in enumerate(idx):
-                (val_set if pos in chosen else train_set).append(dataset[i])
+            n_val = int(round(len(rows) * cfg.val_fraction))
+            if len(rows) > 1:
+                n_val = max(1, min(n_val, len(rows) - 1))
+            held = np.zeros(len(rows), dtype=bool)
+            held[rng.permutation(len(rows))[:n_val]] = True
+            train_rows.extend(rows[~held])
+            val_rows.extend(rows[held])
+        train_set = [dataset[i] for i in train_rows]
+        val_set = [dataset[i] for i in val_rows]
     X, y = dataset_arrays(train_set)
     X = X / INPUT_NORM
     Xv, yv = (None, None)
@@ -563,24 +560,10 @@ def train_mlp(
 
 
 def evaluate(
-    model: MlpModel | QuantizedMlpModel,
-    dataset: list[LabeledWaveform],
-    quantize_first: bool = False,
-    calibration: list[LabeledWaveform] | None = None,
+    model: MlpModel | QuantizedMlpModel, dataset: list[LabeledWaveform]
 ) -> ConfusionMatrix:
-    """Confusion matrix of a model over a labelled dataset.
-
-    With quantize_first, the float model is quantized before inference;
-    the calibration waveforms must be supplied explicitly (training data,
-    never test data).
-    """
+    """Confusion matrix of a model over a labelled dataset."""
     X, y = dataset_arrays(dataset)
-    if quantize_first:
-        if isinstance(model, QuantizedMlpModel):
-            raise ValidationError("model is already quantized")
-        if calibration is None:
-            raise ValidationError("quantize_first requires a calibration dataset")
-        model = quantize(model, dataset_arrays(calibration)[0])
     # X holds the int8 capture codes exactly, so both paths can read it
     infer = infer_quantized_batch if isinstance(model, QuantizedMlpModel) else infer_float_batch
     predicted = np.argmax(infer(model, X), axis=1)
@@ -592,21 +575,18 @@ def stratified_folds(dataset, folds: int, seed: int) -> list[list[int]]:
     """Index lists for k folds with per-class round-robin assignment."""
     if folds < 2:
         raise ValidationError("need at least 2 folds")
-    groups = _class_indices(dataset)
-    for klass, idx in groups.items():
-        if 0 < len(idx) < folds:
+    class_rows = _class_rows(dataset)
+    for klass, rows in zip(SpikeClass, class_rows):
+        if 0 < len(rows) < folds:
             raise ValidationError(
-                f"class {klass.name} has {len(idx)} samples, fewer than {folds} folds"
+                f"class {klass.name} has {len(rows)} samples, fewer than {folds} folds"
             )
     rng = np.random.default_rng(seed)
-    out: list[list[int]] = [[] for _ in range(folds)]
-    for klass in SpikeClass:
-        idx = groups[klass]
-        for pos, i in enumerate(rng.permutation(len(idx))):
-            out[pos % folds].append(idx[i])
-    for fold in out:
-        fold.sort()
-    return out
+    fold_of = np.empty(len(dataset), dtype=np.int64)
+    for rows in class_rows:
+        # the pos-th row of the class's permutation goes to fold pos % folds
+        fold_of[rows[rng.permutation(len(rows))]] = np.arange(len(rows)) % folds
+    return [np.flatnonzero(fold_of == fold).tolist() for fold in range(folds)]
 
 
 @dataclass

@@ -249,4 +249,12 @@ def test_write_trace_csv(tmp_path):
     assert rows[0] == ["tick", "raw", "smoothed", "energy", "threshold", "event"]
     assert len(rows) == 8001
     assert rows[7001][5] == "CS"
-    assert float(rows[1][4]) == 0.0  # threshold reported as 0 before convergence
+    converged = trace.converged_tick
+    assert converged is not None and converged < 7999  # rows on both sides of it
+    for i, row in enumerate(rows[1:]):
+        assert int(row[0]) == i and int(row[1]) == int(samples[i])
+        # every numeric cell parses as a plain float, exactly the trace value
+        assert float(row[2]) == trace.y[i]
+        assert float(row[3]) == trace.y_neo[i]
+        # threshold reported as 0 before convergence
+        assert float(row[4]) == (trace.threshold if i >= converged else 0.0)

@@ -380,6 +380,36 @@ def test_non_utf8_files_exit_cleanly(capsys, model_files):
     assert main_exit(capsys, *quantize, blame="junk.json") == 2
 
 
+def test_unreadable_files_exit_2(capsys, model_files):
+    root = model_files
+    run = ("run", "--in", root, "--model", root / "q.json", "--out", root / "e.spkevt")
+    assert main_exit(capsys, *run, blame="Is a directory") == 2
+    build = ("build-dataset", "--in", root / "r.spkr", "--out", root / "ds.jsonl")
+    ann = root / "ann.csv"
+    for body in (
+        b"sample_index,label\n10,SS\n\xff\xfe,CS\n",  # not UTF-8
+        b"sample_index,label\n" + b"1" * 200_000 + b",SS\n",  # beyond csv's field limit
+    ):
+        ann.write_bytes(body)
+        assert main_exit(capsys, *build, "--annotations", ann, blame="ann.csv") == 2
+
+
+def test_negative_seeds_exit_1(capsys, tmp_path):
+    ds = tmp_path / "ds.jsonl"
+    ds.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40}) + "\n")
+    generate = ("generate", "--out", tmp_path / "r.spkr", "--annotations", tmp_path / "a.csv")
+    for args in (
+        generate,
+        ("train", "--dataset", ds, "--topology", "40,3", "--out", tmp_path / "m.json"),
+        ("dse", "--dataset", ds),
+    ):
+        assert main_exit(capsys, *args, "--seed", "-1", blame="--seed") == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"recording": {"seed": -3}}))
+    assert main_exit(capsys, *generate, "--config", cfg, blame="seed") == 1
+    assert not (tmp_path / "r.spkr").exists()
+
+
 @pytest.mark.parametrize(
     "doc",
     [

@@ -88,6 +88,77 @@ def test_trace_matches_step_loop_bitexact(recording):
     assert frozen == trace.threshold
 
 
+def converge_oracle(y_neo, cfg):
+    """Threshold EMA run until convergence latches; returns (tick, threshold).
+
+    Written out independently of threshold_update, which detector_trace and
+    detector_step share.  Returns (None, 0.0) if the stream ends first.
+    """
+    alpha = cfg.alpha_threshold
+    beta = 1.0 - alpha
+    gain = cfg.threshold_gain
+    eps = cfg.convergence_epsilon
+    window = cfg.convergence_window
+    clip = cfg.neo_clip_ratio
+    mean = 0.0
+    threshold = 0.0
+    run = 0
+    for tick in range(len(y_neo)):
+        value = y_neo[tick]
+        if clip is not None and mean > 0.0:
+            limit = clip * mean
+            if value > limit:
+                value = limit
+        prev = threshold
+        mean = alpha * value + beta * mean
+        threshold = gain * mean
+        if prev > 0.0 and abs(threshold - prev) / prev < eps:
+            run += 1
+        else:
+            run = 0
+        if run >= window:
+            return tick, threshold
+    return None, 0.0
+
+
+@st.composite
+def convergence_streams(draw):
+    """Raw streams whose threshold latches as soon as it can, early, late or never.
+
+    An impulse decays into silence and latches about 20 ticks past the
+    window; noise latches about 100 ticks past it; a silent prefix keeps the
+    threshold at 0 and delays the latch by its length; pulses on noise reset
+    the quiet run when the energy is not clipped; all-zero and short
+    streams never latch.
+    """
+    kind = draw(st.sampled_from(["impulse", "noise", "late", "pulses", "zeros"]))
+    n = draw(st.integers(0, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "zeros":
+        return np.zeros(n)
+    if kind == "impulse":
+        return np.r_[draw(st.floats(1.0, 1e4)), np.zeros(n)]
+    sigma = draw(st.floats(0.1, 100.0))
+    stream = rng.normal(0.0, sigma, size=n)
+    if kind == "late":
+        stream = np.r_[np.zeros(draw(st.integers(1, 6000))), stream, rng.normal(0.0, sigma, 300)]
+    if kind == "pulses":
+        for t in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=20)):
+            stream[t : t + 4] = 45.0 * sigma
+    return stream
+
+
+@settings(max_examples=150, deadline=None)
+@given(convergence_streams(), st.integers(1, 64), st.sampled_from([None, 3.0]))
+def test_trace_convergence_matches_oracle(stream, window, clip):
+    cfg = det.DetectorConfig(convergence_window=window, neo_clip_ratio=clip)
+    trace = det.detector_trace(stream, cfg)
+    assert converge_oracle(trace.y_neo, cfg) == (trace.converged_tick, trace.threshold)
+    if trace.converged_tick is not None:
+        # the energy stream starts at 0, so tick 2 is the first quiet one
+        assert trace.converged_tick >= window + 1
+
+
 def test_scale_covariance(recording):
     samples, _, _ = recording
     x = samples[:40000].astype(np.float64)

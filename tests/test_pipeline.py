@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,10 @@ from spikestage import nn
 from spikestage import pipeline as pl
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
+
+
+def naive_quantize(y: float) -> int:
+    return max(-128, min(127, math.floor(y / 4)))
 
 
 def naive_fsm(samples, model, det_cfg=None, options=None):
@@ -35,7 +41,7 @@ def naive_fsm(samples, model, det_cfg=None, options=None):
                 buffer = []
                 mode = "detected"
         elif mode == "detected":
-            buffer.append(pl.quantize_capture(state.y_signal))
+            buffer.append(naive_quantize(state.y_signal))
             if len(buffer) == nn.WAVEFORM_SAMPLES:
                 countdown = options.classify_ticks
                 mode = "classifying"
@@ -60,20 +66,23 @@ def ten_seconds(recording):
 
 
 def test_quantize_capture_floor_semantics():
-    assert pl.quantize_capture(5.9) == 1
-    assert pl.quantize_capture(-5.9) == -2  # floor, not truncation
-    assert pl.quantize_capture(4.0) == 1
-    assert pl.quantize_capture(-0.1) == -1
-    assert pl.quantize_capture(0.0) == 0
-    assert pl.quantize_capture(511.0) == 127
-    assert pl.quantize_capture(-512.0) == -128
-    assert pl.quantize_capture(600.0) == 127
-    assert pl.quantize_capture(-600.0) == -128
+    hand = {
+        5.9: 1,
+        -5.9: -2,  # floor, not truncation
+        4.0: 1,
+        -0.1: -1,
+        0.0: 0,
+        511.0: 127,
+        -512.0: -128,
+        600.0: 127,
+        -600.0: -128,
+    }
+    assert pl.quantize_capture_array(list(hand)).tolist() == list(hand.values())
 
     sweep = np.arange(-700.0, 700.0, 0.37)
     packed = pl.quantize_capture_array(sweep)
     assert packed.dtype == np.int8
-    assert packed.tolist() == [pl.quantize_capture(v) for v in sweep]
+    assert packed.tolist() == [naive_quantize(v) for v in sweep]
 
 
 def test_pipeline_rejects_wrong_input_width():

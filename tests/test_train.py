@@ -439,7 +439,8 @@ def test_evaluate_counts_match_argmax(trained):
         expected[t, p] += 1
     assert np.array_equal(cm.counts, expected)
 
-    cm_fold = tr.evaluate(model, test_part, quantize_first=True, calibration=processed)
+    # quantizing with the processed training waveforms reproduces qmodel
+    cm_fold = tr.evaluate(nn.quantize(model, tr.dataset_arrays(processed)[0]), test_part)
     assert np.array_equal(cm_fold.counts, cm.counts)
 
     float_pred = nn.infer_float_batch(model, X.astype(np.float64)).argmax(axis=1)
@@ -447,11 +448,6 @@ def test_evaluate_counts_match_argmax(trained):
     for t, p in zip(y, float_pred):
         expected[t, p] += 1
     assert np.array_equal(tr.evaluate(model, test_part).counts, expected)
-
-    with pytest.raises(ValidationError):
-        tr.evaluate(qmodel, test_part, quantize_first=True, calibration=processed)
-    with pytest.raises(ValidationError):
-        tr.evaluate(model, test_part, quantize_first=True)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +469,72 @@ def test_stratified_folds_partition():
         tr.stratified_folds(ds, 1, seed=0)
     with pytest.raises(ValidationError):
         tr.stratified_folds(make_cluster_dataset((5, 2, 9)), 3, seed=0)
+
+
+def class_groups_loop(dataset):
+    groups = {k: [] for k in SpikeClass}
+    for i, item in enumerate(dataset):
+        groups[item.label].append(i)
+    return groups
+
+
+def balance_loop(dataset, seed):
+    groups = class_groups_loop(dataset)
+    target = min(len(v) for v in groups.values())
+    rng = np.random.default_rng(seed)
+    keep = []
+    for klass in SpikeClass:
+        chosen = rng.choice(len(groups[klass]), size=target, replace=False)
+        keep.extend(groups[klass][i] for i in chosen)
+    return sorted(keep)
+
+
+def split_loop(dataset, test_fraction, seed):
+    rng = np.random.default_rng(seed)
+    test_idx = set()
+    for idx in class_groups_loop(dataset).values():
+        if idx:  # an empty class draws nothing
+            chosen = rng.permutation(len(idx))[: int(round(len(idx) * test_fraction))]
+            test_idx.update(idx[i] for i in chosen)
+    return sorted(test_idx)
+
+
+def folds_loop(dataset, folds, seed):
+    rng = np.random.default_rng(seed)
+    out = [[] for _ in range(folds)]
+    for idx in class_groups_loop(dataset).values():
+        for pos, i in enumerate(rng.permutation(len(idx))):  # empty classes too
+            out[pos % folds].append(idx[i])
+    return [sorted(fold) for fold in out]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sampled_from(list(SpikeClass)), max_size=60),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.01, 0.99),
+    st.integers(2, 5),
+)
+def test_class_row_selection_matches_loops(labels, seed, test_fraction, folds):
+    """balance, split and folds draw the same rows as per-class Python loops."""
+    ds = [tr.LabeledWaveform(np.zeros(40), k, i) for i, k in enumerate(labels)]
+
+    def ticks(part):
+        return [item.origin_index for item in part]
+
+    if len(set(labels)) == len(SpikeClass):
+        assert ticks(tr.balance_classes(ds, seed)) == balance_loop(ds, seed)
+    else:
+        with pytest.raises(ValidationError):
+            tr.balance_classes(ds, seed)
+    train, test = tr.train_test_split(ds, test_fraction, seed)
+    assert ticks(test) == split_loop(ds, test_fraction, seed)
+    assert ticks(train) == sorted(set(range(len(ds))) - set(ticks(test)))
+    if all(n >= folds for n in Counter(labels).values()):
+        assert tr.stratified_folds(ds, folds, seed) == folds_loop(ds, folds, seed)
+    else:
+        with pytest.raises(ValidationError):
+            tr.stratified_folds(ds, folds, seed)
 
 
 def test_derive_seed_is_stable_and_distinct():
