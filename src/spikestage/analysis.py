@@ -70,17 +70,20 @@ def apply_dead_zone(events, cfg: PostprocConfig, sample_rate_hz: float):
         raise ValidationError("sample_rate_hz must be positive")
     zone_ticks = cfg.dead_zone_ms * sample_rate_hz / 1000.0
     kept = []
+    append = kept.append
+    ss = SpikeClass.SS
     zone_end = -1.0  # first tick past the active zone, exclusive bound
     prev_ts = None
     for event in events:
-        if prev_ts is not None and event.timestamp <= prev_ts:
+        ts = event.timestamp
+        if prev_ts is not None and ts <= prev_ts:
             raise ValidationError("events must be sorted by strictly increasing timestamp")
-        prev_ts = event.timestamp
-        if event.timestamp < zone_end:
+        prev_ts = ts
+        if ts < zone_end:
             continue
-        kept.append(event)
-        if event.klass is SpikeClass.SS:
-            zone_end = event.timestamp + zone_ticks
+        append(event)
+        if event.klass is ss:
+            zone_end = ts + zone_ticks
     return kept
 
 
@@ -105,35 +108,43 @@ def match_events(
         raise ValidationError("tolerance_ms must be non-negative")
     tol_ticks = tolerance_ms * sample_rate_hz / 1000.0
 
-    cm = ConfusionMatrix()
     ann = list(annotations)
-    claimed = [False] * len(ann)
+    ticks = [a.sample_index for a in ann]
+    # counts is the 3x3 matrix flattened: true class c starts at NUM_CLASSES * c
+    ann_row = [NUM_CLASSES * a.label for a in ann]
+    missed_col, spurious_row = SpikeClass.F, NUM_CLASSES * SpikeClass.F
+    counts = [0] * (NUM_CLASSES * NUM_CLASSES)
+    n = len(ann)
+    claimed = [False] * n
     j = 0  # frontier: annotations below it are claimed or missed
     for event in events:
         t = event.timestamp
         # Annotations now out of reach of this and all later events are misses.
-        while j < len(ann) and (claimed[j] or ann[j].sample_index < t - tol_ticks):
+        lo = t - tol_ticks
+        while j < n and (claimed[j] or ticks[j] < lo):
             if not claimed[j]:
-                cm.add(ann[j].label, SpikeClass.F)
+                counts[ann_row[j] + missed_col] += 1
             j += 1
         # Among unclaimed in-window annotations, take the nearest (ties: earliest).
-        best = None
+        best = -1
+        best_dist = 0
+        hi = t + tol_ticks
         k = j
-        while k < len(ann) and ann[k].sample_index <= t + tol_ticks:
-            if not claimed[k] and (
-                best is None or abs(ann[k].sample_index - t) < abs(ann[best].sample_index - t)
-            ):
-                best = k
+        while k < n and ticks[k] <= hi:
+            if not claimed[k]:
+                dist = abs(ticks[k] - t)
+                if best < 0 or dist < best_dist:
+                    best, best_dist = k, dist
             k += 1
-        if best is None:
-            cm.add(SpikeClass.F, event.klass)  # spurious event
+        if best < 0:
+            counts[spurious_row + event.klass] += 1
         else:
             claimed[best] = True
-            cm.add(ann[best].label, event.klass)
-    for idx in range(j, len(ann)):
+            counts[ann_row[best] + event.klass] += 1
+    for idx in range(j, n):
         if not claimed[idx]:
-            cm.add(ann[idx].label, SpikeClass.F)
-    return cm
+            counts[ann_row[idx] + missed_col] += 1
+    return ConfusionMatrix(np.array(counts, dtype=np.int64).reshape(NUM_CLASSES, NUM_CLASSES))
 
 
 def _one_vs_rest(cm: ConfusionMatrix, klass: SpikeClass) -> tuple[int, int, int, int]:

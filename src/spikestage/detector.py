@@ -23,6 +23,7 @@ threshold_update, tick by tick until it latches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +51,15 @@ class DetectorConfig:
             a = getattr(self, name)
             if not 0.0 < a <= 1.0:
                 raise ValidationError(f"{name} must be in (0, 1]")
-        if self.threshold_gain <= 0:
-            raise ValidationError("threshold_gain must be positive")
-        if self.convergence_epsilon <= 0:
-            raise ValidationError("convergence_epsilon must be positive")
+        for name in ("threshold_gain", "convergence_epsilon"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be positive and finite")
         if self.convergence_window < 1:
             raise ValidationError("convergence_window must be at least 1")
-        if self.neo_clip_ratio is not None and self.neo_clip_ratio <= 1.0:
-            raise ValidationError("neo_clip_ratio must exceed 1")
+        ratio = self.neo_clip_ratio
+        if ratio is not None and not (ratio > 1.0 and math.isfinite(ratio)):
+            raise ValidationError("neo_clip_ratio must exceed 1 and be finite")
 
 
 @dataclass
@@ -147,7 +149,11 @@ def neo_stream(y: np.ndarray) -> np.ndarray:
     if len(y) >= 2:
         out[1] = y[0] * y[0]
     if len(y) >= 3:
-        out[2:] = y[1:-1] ** 2 - y[:-2] * y[2:]
+        # in place, with one temporary: the same products and difference as
+        # y[1:-1] ** 2 - y[:-2] * y[2:], since numpy squares as x * x
+        rest = out[2:]
+        np.multiply(y[1:-1], y[1:-1], out=rest)
+        rest -= y[:-2] * y[2:]
     return out
 
 

@@ -39,6 +39,7 @@ from .errors import FormatError, ValidationError
 from .nn import (
     ACT_QMAX,
     ACT_QMIN,
+    NUM_CLASSES,
     WAVEFORM_SAMPLES,
     QuantizedMlpModel,
     SpikeClass,
@@ -198,19 +199,21 @@ class Pipeline:
 
 
 def _honored_detections(candidates: np.ndarray, busy_ticks: int) -> np.ndarray:
-    """Greedy scan: keep every candidate tick not masked by a busy period."""
-    honored = []
+    """Greedy scan: keep every candidate tick not masked by a busy period.
+
+    hop[i] is the first candidate at or past candidate i's busy end.  The
+    first candidate is honored (ticks are non-negative), and so is every hop
+    target, so the scan visits honored candidates only.
+    """
+    # a memoryview yields Python ints without a list of every candidate
+    hop = memoryview(np.searchsorted(candidates, candidates + busy_ticks, side="left"))
+    n = len(candidates)
+    kept = []
     i = 0
-    next_free = 0
-    while i < len(candidates):
-        t = int(candidates[i])
-        if t >= next_free:
-            honored.append(t)
-            next_free = t + busy_ticks
-            i = int(np.searchsorted(candidates, next_free, side="left"))
-        else:
-            i += 1
-    return np.array(honored, dtype=np.int64)
+    while i < n:
+        kept.append(i)
+        i = hop[i]
+    return candidates[kept].astype(np.int64, copy=False)
 
 
 def _capture_path(samples, det_cfg, options):
@@ -278,14 +281,16 @@ def run_pipeline(
         n - stats.init_ticks - stats.detected_ticks - stats.classifying_ticks
     )
 
-    events: list[PipelineEvent] = []
-    logits = infer_quantized_batch(model, _gather(trace, classified))
-    for t, k in zip(classified, np.argmax(logits, axis=1)):
-        klass = SpikeClass(int(k))
-        stats.class_counts[klass.name] += 1
-        if klass is SpikeClass.F and not options.store_false_positives:
-            continue
-        events.append(PipelineEvent(int(t), klass))
+    labels = np.argmax(infer_quantized_batch(model, _gather(trace, classified)), axis=1)
+    counts = np.bincount(labels, minlength=NUM_CLASSES).tolist()
+    # a label past the last class raises here, as SpikeClass(label) does per event
+    klasses = tuple(map(SpikeClass, range(len(counts))))
+    stats.class_counts = {k.name: c for k, c in zip(klasses, counts)}
+    if not options.store_false_positives:
+        keep = labels != SpikeClass.F
+        classified, labels = classified[keep], labels[keep]
+    klass_of = map(klasses.__getitem__, labels.tolist())
+    events = list(map(PipelineEvent, classified.tolist(), klass_of))
     stats.events_emitted = len(events)
     return events, stats
 

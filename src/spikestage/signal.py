@@ -52,12 +52,12 @@ class RecordingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ValidationError("sample_rate_hz must be positive")
+        if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
+            raise ValidationError("sample_rate_hz must be positive and finite")
         if not 2 <= self.adc_bits <= 16:
             raise ValidationError("adc_bits must be in [2, 16]")
-        if self.duration_s <= 0:
-            raise ValidationError("duration_s must be positive")
+        if not (self.duration_s > 0 and math.isfinite(self.duration_s)):
+            raise ValidationError("duration_s must be positive and finite")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
 
@@ -263,8 +263,13 @@ def write_annotations(path, annotations: list[Annotation]) -> None:
             writer.writerow([ann.sample_index, ann.label.name])
 
 
+_ANNOTATION_LABELS = {SpikeClass.SS.name: SpikeClass.SS, SpikeClass.CS.name: SpikeClass.CS}
+
+
 def read_annotations(path) -> list[Annotation]:
     annotations: list[Annotation] = []
+    append = annotations.append
+    labels = _ANNOTATION_LABELS
     # the reader decodes and splits lazily, so both errors surface in the loop
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -280,12 +285,13 @@ def read_annotations(path) -> list[Annotation]:
                     index = int(row[0])
                 except ValueError as exc:
                     raise FormatError(f"{path}: bad sample index {row[0]!r}") from exc
-                if row[1] not in (SpikeClass.SS.name, SpikeClass.CS.name):
+                label = labels.get(row[1])
+                if label is None:
                     raise FormatError(f"{path}: unknown label {row[1]!r}")
                 if index <= prev:
                     raise FormatError(f"{path}: sample indices must be strictly increasing")
                 prev = index
-                annotations.append(Annotation(index, SpikeClass[row[1]]))
+                append(Annotation(index, label))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: unreadable annotations CSV ({exc})") from exc
     return annotations

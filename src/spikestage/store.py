@@ -74,36 +74,36 @@ def pack_words(events: list[EventRecord]) -> np.ndarray:
     ts = np.array([e.timestamp for e in events], dtype=np.int64)
     if ts.min() < 0 or ts.max() > MAX_TIMESTAMP:
         raise ValidationError("timestamp does not fit in 31 bits")
-    bits = np.empty(len(events), dtype=np.int64)
-    for i, e in enumerate(events):
-        if e.klass is SpikeClass.CS:
-            bits[i] = 1
-        elif e.klass is SpikeClass.SS:
-            bits[i] = 0
-        else:
-            raise ValidationError("only SS and CS events can be stored")
+    # identity, not equality: the plain int 1 is not SpikeClass.SS
+    cs, ss = SpikeClass.CS, SpikeClass.SS
+    bits = np.array([1 if e.klass is cs else 0 if e.klass is ss else 2 for e in events])
+    if bits.max() > 1:
+        raise ValidationError("only SS and CS events can be stored")
     return ((bits << TIMESTAMP_BITS) | ts).astype(np.uint32)
+
+
+_KLASS_OF_BIT = (SpikeClass.SS, SpikeClass.CS)
 
 
 def unpack_words(words: np.ndarray) -> list[EventRecord]:
     """Vector form of unpack."""
     words = np.asarray(words, dtype=np.uint32)
-    ts = (words & MAX_TIMESTAMP).astype(np.int64)
-    bits = (words >> TIMESTAMP_BITS).astype(np.int64)
-    return [
-        EventRecord(int(t), SpikeClass.CS if b else SpikeClass.SS)
-        for t, b in zip(ts, bits)
-    ]
+    ts = (words & MAX_TIMESTAMP).tolist()
+    klasses = map(_KLASS_OF_BIT.__getitem__, (words >> TIMESTAMP_BITS).tolist())
+    return list(map(EventRecord, ts, klasses))
+
+
+def _increasing(ts: np.ndarray) -> bool:
+    return bool(np.all(ts[1:] > ts[:-1]))
 
 
 def write_event_log(path, events: list[EventRecord], sample_rate_hz: float) -> None:
     rate = int(round(sample_rate_hz))
     if not 0 < rate <= 0xFFFFFFFF:
         raise ValidationError("sample rate does not fit in a u32")
-    ts = [e.timestamp for e in events]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValidationError("event timestamps must be strictly increasing")
     words = pack_words(events)
+    if not _increasing(words & MAX_TIMESTAMP):
+        raise ValidationError("event timestamps must be strictly increasing")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(EVENT_MAGIC, EVENT_LOG_VERSION, 0, 0, rate))
         fh.write(words.astype("<u4").tobytes())
@@ -125,11 +125,10 @@ def read_event_log(path) -> tuple[list[EventRecord], float]:
         payload = fh.read()
     if len(payload) % RECORD_BYTES:
         raise FormatError(f"{path}: payload is not a whole number of records")
-    events = unpack_words(np.frombuffer(payload, dtype="<u4"))
-    ts = [e.timestamp for e in events]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
+    words = np.frombuffer(payload, dtype="<u4")
+    if not _increasing(words & MAX_TIMESTAMP):
         raise FormatError(f"{path}: event timestamps are not strictly increasing")
-    return events, float(rate)
+    return unpack_words(words), float(rate)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,9 @@ class TrainConfig:
             raise ValidationError("epochs, patience, and batch_size must be positive")
         if not 0.0 <= self.val_fraction < 1.0 or not 0.0 <= self.test_fraction < 1.0:
             raise ValidationError("fractions must be in [0, 1)")
+        for name in ("learning_rate", "beta1", "beta2", "adam_epsilon", "ortho_lambda"):
+            if not math.isfinite(getattr(self, name)):  # NaN passes every comparison below
+                raise ValidationError(f"{name} must be finite")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
         if self.ortho_lambda < 0:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikestage import analysis as an
 from spikestage import detector as det
@@ -231,6 +233,63 @@ def test_match_events_empty_inputs():
     cm = an.match_events([ev(10)], [], FS)
     assert cm.counts[2, 1] == 1 and cm.total == 1
     assert an.match_events([], [], FS).total == 0
+
+
+def naive_match(events, annotations, sample_rate_hz, tolerance_ms=1.0):
+    """Reference greedy matcher on Annotation/event objects and ConfusionMatrix.add."""
+    tol_ticks = tolerance_ms * sample_rate_hz / 1000.0
+    cm = an.ConfusionMatrix()
+    ann = list(annotations)
+    claimed = [False] * len(ann)
+    j = 0
+    for event in events:
+        t = event.timestamp
+        while j < len(ann) and (claimed[j] or ann[j].sample_index < t - tol_ticks):
+            if not claimed[j]:
+                cm.add(ann[j].label, SpikeClass.F)
+            j += 1
+        best = None
+        k = j
+        while k < len(ann) and ann[k].sample_index <= t + tol_ticks:
+            if not claimed[k] and (
+                best is None or abs(ann[k].sample_index - t) < abs(ann[best].sample_index - t)
+            ):
+                best = k
+            k += 1
+        if best is None:
+            cm.add(SpikeClass.F, event.klass)
+        else:
+            claimed[best] = True
+            cm.add(ann[best].label, event.klass)
+    for idx in range(j, len(ann)):
+        if not claimed[idx]:
+            cm.add(ann[idx].label, SpikeClass.F)
+    return cm
+
+
+def sorted_ticks(max_tick):
+    return st.lists(st.integers(0, max_tick), unique=True, max_size=40).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # ticks on a short span, so equal-distance ties and shared windows are common
+    sorted_ticks(150),
+    sorted_ticks(150),
+    st.data(),
+    # (sample rate, tolerance ms): none, the default 24.414 ticks, a fractional
+    # 6.1 ticks, and exactly 3 ticks so events land on the inclusive bound
+    st.sampled_from([(FS, 0.0), (FS, 1.0), (FS, 0.25), (1000.0, 3.0)]),
+)
+def test_match_events_matches_naive(ann_ticks, ev_ticks, data, rate_tol):
+    fs, tol = rate_tol
+    labels = st.sampled_from([SpikeClass.SS, SpikeClass.CS])
+    ann = [Annotation(t, data.draw(labels)) for t in ann_ticks]
+    events = [ev(t, data.draw(st.sampled_from(list(SpikeClass)))) for t in ev_ticks]
+    cm = an.match_events(events, ann, fs, tol)
+    expected = naive_match(events, ann, fs, tol)
+    assert cm.counts.dtype == np.int64
+    assert cm.counts.tolist() == expected.counts.tolist()
 
 
 # ---------------------------------------------------------------------------

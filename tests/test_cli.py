@@ -410,6 +410,30 @@ def test_negative_seeds_exit_1(capsys, tmp_path):
     assert not (tmp_path / "r.spkr").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_values_exit_1(capsys, model_files, value):
+    root = model_files
+    generate = ("generate", "--out", root / "g.spkr", "--annotations", root / "g.csv")
+    # the = form, since argparse takes a bare -inf for an option
+    assert main_exit(capsys, *generate, f"--duration-s={value}", blame="duration_s") == 1
+    assert not (root / "g.spkr").exists()
+
+    ds = root / "ds.jsonl"
+    ds.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40}) + "\n")
+    train = ("train", "--dataset", ds, "--topology", "40,3", "--out", root / "m.json")
+    args = (*train, f"--ortho-lambda={value}", "--log", root / "log.jsonl")
+    assert main_exit(capsys, *args, blame="ortho_lambda") == 1
+    assert not (root / "m.json").exists()
+
+    # Python's json reads NaN and Infinity, so a config file can carry them
+    cfg = root / "c.json"
+    literal = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[value]
+    cfg.write_text('{"detector": {"threshold_gain": %s}}' % literal)
+    run = ("run", "--in", root / "r.spkr", "--model", root / "q.json", "--out", root / "e.spkevt")
+    assert main_exit(capsys, *run, "--config", cfg, blame="threshold_gain") == 1
+    assert not (root / "e.spkevt").exists()
+
+
 @pytest.mark.parametrize(
     "doc",
     [

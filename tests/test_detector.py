@@ -245,6 +245,10 @@ def test_config_validation():
         det.DetectorConfig(convergence_window=0)
     with pytest.raises(ValidationError):
         det.DetectorConfig(neo_clip_ratio=1.0)
+    for bad in (math.nan, math.inf):
+        for name in ("threshold_gain", "convergence_epsilon", "neo_clip_ratio", "alpha_neo"):
+            with pytest.raises(ValidationError):
+                det.DetectorConfig(**{name: bad})
     det.DetectorConfig(neo_clip_ratio=None)  # disabled is allowed
 
 

@@ -239,6 +239,37 @@ def test_capture_path_matches_step(stream, classify_ticks, store_false_positives
         check_capture_path(stream[: ticks[-1] + nn.WAVEFORM_SAMPLES + 1], det_cfg, options)
 
 
+def naive_honored(candidates, busy_ticks):
+    """The greedy scan as a plain loop: one bisection per honored tick."""
+    honored = []
+    i = 0
+    next_free = 0
+    while i < len(candidates):
+        t = int(candidates[i])
+        if t >= next_free:
+            honored.append(t)
+            next_free = t + busy_ticks
+            i = int(np.searchsorted(candidates, next_free, side="left"))
+        else:
+            i += 1
+    return honored
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # a drawn upper bound varies the density, from runs of adjacent ticks to sparse ones
+    st.integers(0, 5000).flatmap(
+        lambda hi: st.lists(st.integers(0, hi), unique=True, max_size=300).map(sorted)
+    ),
+    st.integers(1, 100),
+)
+def test_honored_scan_matches_loop(ticks, busy):
+    candidates = np.array(ticks, dtype=np.int64)
+    honored = pl._honored_detections(candidates, busy)
+    assert honored.dtype == np.int64
+    assert honored.tolist() == naive_honored(candidates, busy)
+
+
 def test_incomplete_tail_capture(trained):
     _, qmodel, _, _ = trained
     rng = np.random.default_rng(40)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,8 @@ def test_recording_config_validation():
         signal.RecordingConfig(adc_bits=0)
     with pytest.raises(ValidationError):
         signal.RecordingConfig(duration_s=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            signal.RecordingConfig(duration_s=bad)
+        with pytest.raises(ValidationError):
+            signal.RecordingConfig(sample_rate_hz=bad)

@@ -101,8 +101,34 @@ def test_write_rejects_non_monotonic(tmp_path):
         store.write_event_log(path, events, 24414.0)
     with pytest.raises(ValidationError):
         store.write_event_log(path, list(reversed(events)), 24414.0)
+    # a duplicate inside a longer run; packing alone does not check order
+    events = [store.EventRecord(t, SpikeClass.SS) for t in (3, 7, 7, 9)]
+    assert store.pack_words(events).tolist() == [3, 7, 7, 9]
+    with pytest.raises(ValidationError):
+        store.write_event_log(path, events, 24414.0)
     with pytest.raises(ValidationError):
         store.write_event_log(path, [store.EventRecord(1, SpikeClass.SS)], 0.0)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        [store.EventRecord(5, SpikeClass.SS), store.EventRecord(9, SpikeClass.F)],
+        # the plain int 1 has SpikeClass.SS's value but is not a class
+        [store.EventRecord(5, SpikeClass.SS), store.EventRecord(9, 1)],
+        [store.EventRecord(0, 0)],
+        [store.EventRecord(5, SpikeClass.SS), store.EventRecord(2**31, SpikeClass.CS)],
+        [store.EventRecord(-1, SpikeClass.CS)],
+    ],
+)
+def test_pack_and_write_reject_unstorable_events(tmp_path, events):
+    with pytest.raises(ValidationError):
+        store.pack_words(events)
+    path = tmp_path / "events.spkevt"
+    with pytest.raises(ValidationError):
+        store.write_event_log(path, events, 24414.0)
+    assert not path.exists()
 
 
 def test_read_rejects_damage(tmp_path):

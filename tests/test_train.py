@@ -682,6 +682,10 @@ def test_config_validation():
         tr.TrainConfig(learning_rate=0.0)
     with pytest.raises(ValidationError):
         tr.TrainConfig(ortho_lambda=-0.1)
+    for bad in (math.nan, math.inf):
+        for name in ("learning_rate", "beta1", "beta2", "adam_epsilon", "ortho_lambda"):
+            with pytest.raises(ValidationError):
+                tr.TrainConfig(**{name: bad})
     with pytest.raises(ValidationError):
         tr.DseConfig(folds=1)
     with pytest.raises(ValidationError):
