@@ -60,6 +60,7 @@ from .store import (
     write_event_log,
 )
 from .train import (
+    Dataset,
     DseConfig,
     TrainConfig,
     balance_classes,

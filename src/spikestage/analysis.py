@@ -15,6 +15,7 @@ accuracies.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +32,8 @@ class PostprocConfig:
     dead_zone_ms: float = 4.0
 
     def __post_init__(self):
-        if self.dead_zone_ms < 0:
-            raise ValidationError("dead_zone_ms must be non-negative")
+        if not (self.dead_zone_ms >= 0 and math.isfinite(self.dead_zone_ms)):
+            raise ValidationError("dead_zone_ms must be non-negative and finite")
 
 
 @dataclass
@@ -53,9 +54,6 @@ class ConfusionMatrix:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def add(self, true: SpikeClass, predicted: SpikeClass) -> None:
-        self.counts[true, predicted] += 1
 
 
 def apply_dead_zone(events, cfg: PostprocConfig, sample_rate_hz: float):
@@ -104,8 +102,8 @@ def match_events(
     """
     if sample_rate_hz <= 0:
         raise ValidationError("sample_rate_hz must be positive")
-    if tolerance_ms < 0:
-        raise ValidationError("tolerance_ms must be non-negative")
+    if not (tolerance_ms >= 0 and math.isfinite(tolerance_ms)):
+        raise ValidationError("tolerance_ms must be non-negative and finite")
     tol_ticks = tolerance_ms * sample_rate_hz / 1000.0
 
     ann = list(annotations)

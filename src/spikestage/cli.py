@@ -27,6 +27,8 @@ import json
 import sys
 import typing
 
+import numpy as np
+
 from . import analysis, detector, nn, pipeline, signal, store, train
 from .errors import FormatError, InfeasibleError, SpikestageError, ValidationError
 
@@ -227,10 +229,9 @@ def cmd_build_dataset(args) -> int:
         label_window_ms=args.label_window_ms,
     )
     train.save_dataset(args.out, dataset)
-    counts = {k.name: 0 for k in nn.SpikeClass}
-    for item in dataset:
-        counts[item.label.name] += 1
-    _emit({"waveforms": len(dataset), "by_class": counts})
+    counts = np.bincount(dataset.labels, minlength=len(nn.SpikeClass)).tolist()
+    by_class = {k.name: n for k, n in zip(nn.SpikeClass, counts)}
+    _emit({"waveforms": len(dataset), "by_class": by_class})
     return 0
 
 

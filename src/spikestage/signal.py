@@ -86,6 +86,9 @@ class SynthesisParams:
     min_interval_ms: float = 4.0  # enforced across both spike classes
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):  # NaN passes every comparison below
+                raise ValidationError(f"{name} must be finite")
         if min(self.ss_rate_hz, self.cs_rate_hz) < 0:
             raise ValidationError("spike rates must be non-negative")
         if self.noise_sigma < 0:

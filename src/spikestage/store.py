@@ -43,32 +43,11 @@ class EventRecord(NamedTuple):
     """One classified detection; the pipeline emits it as PipelineEvent."""
 
     timestamp: int  # detection tick, in sample ticks since stream start
-    klass: SpikeClass  # any class, but pack stores only SS and CS
-
-
-def pack(event: EventRecord) -> int:
-    """Encode one event as a u32 word."""
-    if event.klass is SpikeClass.CS:
-        bit = 1
-    elif event.klass is SpikeClass.SS:
-        bit = 0
-    else:
-        raise ValidationError("only SS and CS events can be stored")
-    if not 0 <= event.timestamp <= MAX_TIMESTAMP:
-        raise ValidationError(f"timestamp {event.timestamp} does not fit in 31 bits")
-    return (bit << TIMESTAMP_BITS) | event.timestamp
-
-
-def unpack(word: int) -> EventRecord:
-    """Decode a u32 word back into an event."""
-    if not 0 <= word <= 0xFFFFFFFF:
-        raise ValidationError(f"word {word} is not a u32")
-    klass = SpikeClass.CS if (word >> TIMESTAMP_BITS) & 1 else SpikeClass.SS
-    return EventRecord(timestamp=word & MAX_TIMESTAMP, klass=klass)
+    klass: SpikeClass  # any class, but pack_words stores only SS and CS
 
 
 def pack_words(events: list[EventRecord]) -> np.ndarray:
-    """Vector form of pack; validates every event."""
+    """Encode events as u32 words; validates every event."""
     if not events:
         return np.empty(0, dtype=np.uint32)
     ts = np.array([e.timestamp for e in events], dtype=np.int64)
@@ -86,7 +65,7 @@ _KLASS_OF_BIT = (SpikeClass.SS, SpikeClass.CS)
 
 
 def unpack_words(words: np.ndarray) -> list[EventRecord]:
-    """Vector form of unpack."""
+    """Decode u32 words back into events."""
     words = np.asarray(words, dtype=np.uint32)
     ts = (words & MAX_TIMESTAMP).tolist()
     klasses = map(_KLASS_OF_BIT.__getitem__, (words >> TIMESTAMP_BITS).tolist())
@@ -170,17 +149,19 @@ class ResourceModel:
             "battery_capacity_mah",
             "battery_voltage_v",
         ):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be non-negative and finite")
 
 
 def storage_required(duration_s: float, spike_rate_hz: float, record_bytes: int = RECORD_BYTES) -> int:
     """Bytes needed to store every event of a run, rounded up to whole events."""
-    if duration_s < 0 or spike_rate_hz < 0:
-        raise ValidationError("duration and spike rate must be non-negative")
+    events = duration_s * spike_rate_hz
+    if not (duration_s >= 0 and spike_rate_hz >= 0 and math.isfinite(events)):
+        raise ValidationError("duration and spike rate must be non-negative and finite")
     if record_bytes <= 0:
         raise ValidationError("record_bytes must be positive")
-    return int(math.ceil(duration_s * spike_rate_hz)) * record_bytes
+    return int(math.ceil(events)) * record_bytes
 
 
 def power_breakdown(model: ResourceModel) -> dict[str, float]:

@@ -22,6 +22,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -45,16 +46,45 @@ from .nn import (
 from .signal import Annotation
 
 
-@dataclass
-class LabeledWaveform:
+class LabeledWaveform(NamedTuple):
+    """One dataset row, as iterating a Dataset yields it."""
+
     waveform: np.ndarray  # int8, 40 samples
     label: SpikeClass
     origin_index: int  # detection tick in the source recording
 
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Labelled captures as three columns, one row per detection.
+
+    Indexing with a slice, an index array or a boolean mask selects rows
+    and keeps their order; iterating yields LabeledWaveform rows.
+    """
+
+    waveforms: np.ndarray  # int8 [n, 40]
+    labels: np.ndarray  # int64 [n], SpikeClass values
+    ticks: np.ndarray  # int64 [n], detection tick in the source recording
+
     def __post_init__(self):
-        self.waveform = np.asarray(self.waveform, dtype=np.int8)
-        if self.waveform.shape != (WAVEFORM_SAMPLES,):
-            raise ValidationError(f"waveform must have {WAVEFORM_SAMPLES} samples")
+        for name, dtype in (("waveforms", np.int8), ("labels", np.int64), ("ticks", np.int64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        n = len(self.labels) if self.labels.ndim == 1 else None
+        if self.ticks.shape != (n,) or self.waveforms.shape != (n, WAVEFORM_SAMPLES):
+            raise ValidationError(
+                f"columns must be labels [n], ticks [n] and waveforms [n, {WAVEFORM_SAMPLES}]"
+            )
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, rows) -> Dataset:
+        return Dataset(self.waveforms[rows], self.labels[rows], self.ticks[rows])
+
+    def __iter__(self):
+        classes = tuple(SpikeClass)
+        for waveform, label, tick in zip(self.waveforms, self.labels.tolist(), self.ticks.tolist()):
+            yield LabeledWaveform(waveform, classes[label], tick)
 
 
 @dataclass(frozen=True)
@@ -156,7 +186,7 @@ def build_dataset(
     det_cfg: DetectorConfig | None = None,
     label_window_ms: float = 1.0,
     options: pl.PipelineOptions | None = None,
-) -> list[LabeledWaveform]:
+) -> Dataset:
     """Run the capture path over a recording and label the results.
 
     Each honored detection yields one waveform.  A detection within
@@ -165,15 +195,11 @@ def build_dataset(
     """
     if sample_rate_hz <= 0:
         raise ValidationError("sample_rate_hz must be positive")
-    if label_window_ms <= 0:
-        raise ValidationError("label_window_ms must be positive")
+    if not (label_window_ms > 0 and math.isfinite(label_window_ms)):
+        raise ValidationError("label_window_ms must be positive and finite")
     ticks, waveforms, _ = pl.capture_detections(samples, det_cfg, options)
     labels = label_detections(ticks, annotations, label_window_ms * sample_rate_hz / 1000.0)
-    classes = list(SpikeClass)
-    return [
-        LabeledWaveform(waveform, classes[label], int(t))
-        for t, waveform, label in zip(ticks, waveforms, labels)
-    ]
+    return Dataset(waveforms, labels, ticks)
 
 
 def label_detections(ticks, annotations: list[Annotation], window: float) -> np.ndarray:
@@ -201,24 +227,18 @@ def label_detections(ticks, annotations: list[Annotation], window: float) -> np.
     return labels
 
 
-def save_dataset(path, dataset: list[LabeledWaveform]) -> None:
+def save_dataset(path, dataset: Dataset) -> None:
     """One JSON object per line: tick, label, waveform."""
+    names = [klass.name for klass in SpikeClass]
+    columns = zip(dataset.ticks.tolist(), dataset.labels.tolist(), dataset.waveforms.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for item in dataset:
-            fh.write(
-                json.dumps(
-                    {
-                        "tick": item.origin_index,
-                        "label": item.label.name,
-                        "waveform": item.waveform.tolist(),
-                    }
-                )
-            )
+        for tick, label, waveform in columns:
+            fh.write(json.dumps({"tick": tick, "label": names[label], "waveform": waveform}))
             fh.write("\n")
 
 
-def load_dataset(path) -> list[LabeledWaveform]:
-    dataset = []
+def load_dataset(path) -> Dataset:
+    ticks, labels, waveforms = [], [], []
     # bytes, so that a line that is not UTF-8 fails inside the per-line check
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -228,43 +248,38 @@ def load_dataset(path) -> list[LabeledWaveform]:
             try:
                 doc = json.loads(line)
                 label = SpikeClass[doc["label"]]
-                waveform = np.array(doc["waveform"])
+                waveform = doc["waveform"]
                 tick = doc["tick"]
             except (ValueError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path}:{lineno}: malformed dataset line ({exc})") from exc
-            if type(tick) is not int:
-                raise FormatError(f"{path}:{lineno}: tick must be an integer")
-            if waveform.shape != (WAVEFORM_SAMPLES,):
+            # exact types: bool is a subclass of int, and true/false are not samples
+            if type(tick) is not int or not -(2**63) <= tick < 2**63:
+                raise FormatError(f"{path}:{lineno}: tick must be a 64-bit integer")
+            if type(waveform) is not list or len(waveform) != WAVEFORM_SAMPLES:
                 raise FormatError(f"{path}:{lineno}: waveform must have {WAVEFORM_SAMPLES} samples")
-            # floats, strings, null, all-true/false lists and integers beyond
-            # int64 give the array another dtype kind; numpy promotes a
-            # true/false among integers to an integer, so look for one
-            if waveform.dtype.kind != "i" or (
-                (b"true" in line or b"false" in line) and bool in map(type, doc["waveform"])
-            ):
+            if set(map(type, waveform)) != {int}:
                 raise FormatError(f"{path}:{lineno}: waveform values must be int8 integers")
-            if waveform.min() < -128 or waveform.max() > 127:
+            if min(waveform) < -128 or max(waveform) > 127:
                 raise FormatError(f"{path}:{lineno}: waveform values outside int8 range")
-            dataset.append(LabeledWaveform(waveform.astype(np.int8), label, tick))
-    return dataset
+            ticks.append(tick)
+            labels.append(label)
+            waveforms.append(waveform)
+    return Dataset(np.array(waveforms, dtype=np.int8).reshape(-1, WAVEFORM_SAMPLES), labels, ticks)
 
 
-def dataset_arrays(dataset: list[LabeledWaveform]) -> tuple[np.ndarray, np.ndarray]:
+def dataset_arrays(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Dataset as (X float64 [n, 40], y int64 [n])."""
-    if not dataset:
+    if not len(dataset):
         raise ValidationError("dataset is empty")
-    X = np.stack([item.waveform for item in dataset]).astype(np.float64)
-    y = np.array([int(item.label) for item in dataset], dtype=np.int64)
-    return X, y
+    return dataset.waveforms.astype(np.float64), dataset.labels
 
 
-def _class_rows(dataset) -> list[np.ndarray]:
+def _class_rows(dataset: Dataset) -> list[np.ndarray]:
     """Row indices of each class, in SpikeClass order, each ascending."""
-    labels = np.array([int(item.label) for item in dataset], dtype=np.int64)
-    return [np.flatnonzero(labels == klass) for klass in SpikeClass]
+    return [np.flatnonzero(dataset.labels == klass) for klass in SpikeClass]
 
 
-def balance_classes(dataset: list[LabeledWaveform], seed: int) -> list[LabeledWaveform]:
+def balance_classes(dataset: Dataset, seed: int) -> Dataset:
     """Downsample every class to the minority class count, preserving order."""
     rows = _class_rows(dataset)
     missing = [klass.name for klass, r in zip(SpikeClass, rows) if not len(r)]
@@ -273,12 +288,10 @@ def balance_classes(dataset: list[LabeledWaveform], seed: int) -> list[LabeledWa
     target = min(len(r) for r in rows)
     rng = np.random.default_rng(seed)
     keep = np.concatenate([r[rng.choice(len(r), size=target, replace=False)] for r in rows])
-    return [dataset[i] for i in np.sort(keep)]
+    return dataset[np.sort(keep)]
 
 
-def filter_outliers(
-    dataset: list[LabeledWaveform], k: int = 10, min_foreign: int = 9
-) -> list[LabeledWaveform]:
+def filter_outliers(dataset: Dataset, k: int = 10, min_foreign: int = 9) -> Dataset:
     """Drop samples whose neighbourhood overwhelmingly disagrees with them.
 
     Waveforms are standardized per dimension; a sample is removed when at
@@ -289,23 +302,21 @@ def filter_outliers(
         raise ValidationError("need k >= 1 and 1 <= min_foreign <= k")
     n = len(dataset)
     if n <= k:
-        return list(dataset)  # not enough neighbours to form a consensus
+        return dataset  # not enough neighbours to form a consensus
     X, y = dataset_arrays(dataset)
     std = X.std(axis=0)
     std[std == 0.0] = 1.0
     Z = (X - X.mean(axis=0)) / std
     _, neighbors = cKDTree(Z).query(Z, k=k + 1)
-    kept = []
-    for i, item in enumerate(dataset):
-        foreign = np.count_nonzero(y[neighbors[i][neighbors[i] != i][:k]] != y[i])
-        if foreign < min_foreign:
-            kept.append(item)
-    return kept
+    # each row's k neighbours leave out the row itself, or the farthest of
+    # the k + 1 when duplicates pushed the row out of its own list
+    own = neighbors == np.arange(n)[:, None]
+    own[~own.any(axis=1), k] = True
+    foreign = np.count_nonzero(y[neighbors[~own].reshape(n, k)] != y[:, None], axis=1)
+    return dataset[foreign < min_foreign]
 
 
-def train_test_split(
-    dataset: list[LabeledWaveform], test_fraction: float, seed: int
-) -> tuple[list[LabeledWaveform], list[LabeledWaveform]]:
+def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Stratified split; both halves keep the original ordering."""
     if not 0.0 < test_fraction < 1.0:
         raise ValidationError("test_fraction must be in (0, 1)")
@@ -315,9 +326,7 @@ def train_test_split(
         if len(rows):
             n_test = int(round(len(rows) * test_fraction))
             held[rows[rng.permutation(len(rows))[:n_test]]] = True
-    train = [dataset[i] for i in np.flatnonzero(~held)]
-    test = [dataset[i] for i in np.flatnonzero(held)]
-    return train, test
+    return dataset[~held], dataset[held]
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +466,7 @@ class TrainingLog:
 
 
 def train_mlp(
-    dataset: list[LabeledWaveform],
+    dataset: Dataset,
     topology,
     cfg: TrainConfig | None = None,
     seed: int = 0,
@@ -479,7 +488,7 @@ def train_mlp(
         )
     rng = np.random.default_rng(seed)
 
-    val_set: list[LabeledWaveform] = []
+    val_set = dataset[:0]
     train_set = dataset
     if cfg.val_fraction > 0 and len(dataset) >= 2:
         # both parts are grouped by class, in class order
@@ -492,10 +501,10 @@ def train_mlp(
                 n_val = max(1, min(n_val, len(rows) - 1))
             held = np.zeros(len(rows), dtype=bool)
             held[rng.permutation(len(rows))[:n_val]] = True
-            train_rows.extend(rows[~held])
-            val_rows.extend(rows[held])
-        train_set = [dataset[i] for i in train_rows]
-        val_set = [dataset[i] for i in val_rows]
+            train_rows.append(rows[~held])
+            val_rows.append(rows[held])
+        train_set = dataset[np.concatenate(train_rows)]
+        val_set = dataset[np.concatenate(val_rows)]
     X, y = dataset_arrays(train_set)
     X = X / INPUT_NORM
     Xv, yv = (None, None)
@@ -562,9 +571,7 @@ def train_mlp(
 # Evaluation and cross-validation
 
 
-def evaluate(
-    model: MlpModel | QuantizedMlpModel, dataset: list[LabeledWaveform]
-) -> ConfusionMatrix:
+def evaluate(model: MlpModel | QuantizedMlpModel, dataset: Dataset) -> ConfusionMatrix:
     """Confusion matrix of a model over a labelled dataset."""
     X, y = dataset_arrays(dataset)
     # X holds the int8 capture codes exactly, so both paths can read it
@@ -574,8 +581,8 @@ def evaluate(
     return ConfusionMatrix(counts.reshape(NUM_CLASSES, NUM_CLASSES))
 
 
-def stratified_folds(dataset, folds: int, seed: int) -> list[list[int]]:
-    """Index lists for k folds with per-class round-robin assignment."""
+def stratified_folds(dataset: Dataset, folds: int, seed: int) -> list[np.ndarray]:
+    """Ascending row indices of k folds, with per-class round-robin assignment."""
     if folds < 2:
         raise ValidationError("need at least 2 folds")
     class_rows = _class_rows(dataset)
@@ -589,7 +596,7 @@ def stratified_folds(dataset, folds: int, seed: int) -> list[list[int]]:
     for rows in class_rows:
         # the pos-th row of the class's permutation goes to fold pos % folds
         fold_of[rows[rng.permutation(len(rows))]] = np.arange(len(rows)) % folds
-    return [np.flatnonzero(fold_of == fold).tolist() for fold in range(folds)]
+    return [np.flatnonzero(fold_of == fold) for fold in range(folds)]
 
 
 @dataclass
@@ -610,7 +617,7 @@ class CrossValResult:
 
 
 def cross_validate(
-    dataset: list[LabeledWaveform],
+    dataset: Dataset,
     topology,
     train_cfg: TrainConfig | None = None,
     folds: int = 10,
@@ -629,10 +636,9 @@ def cross_validate(
     values = {k: [] for k in SpikeClass}
     matrices = []
     for fold in range(folds):
-        test_part = [dataset[i] for i in fold_idx[fold]]
-        train_part = [
-            dataset[i] for f in range(folds) if f != fold for i in fold_idx[f]
-        ]
+        test_part = dataset[fold_idx[fold]]
+        # fold by fold, not sorted: the order feeds the seeded batch order
+        train_part = dataset[np.concatenate([fold_idx[f] for f in range(folds) if f != fold])]
         fold_seed = derive_seed(seed, topology, fold)
         processed = filter_outliers(balance_classes(train_part, fold_seed))
         model, _ = train_mlp(processed, topology, train_cfg, seed=fold_seed)
@@ -707,7 +713,7 @@ def _dse_task(args):
 
 
 def run_dse(
-    dataset: list[LabeledWaveform],
+    dataset: Dataset,
     candidates,
     train_cfg: TrainConfig | None = None,
     dse_cfg: DseConfig | None = None,

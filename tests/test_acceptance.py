@@ -396,10 +396,9 @@ def test_10_event_records(capsys, tmp_path):
     back = store.unpack_words(words)
     identity = store.pack_words(back).tobytes() == words.tobytes()
     spot = all(a == b for a, b in zip(events[:1000], back[:1000]))
-    examples = (
-        store.pack(store.EventRecord(1, SpikeClass.CS)) == 0x80000001
-        and store.pack(store.EventRecord(5, SpikeClass.SS)) == 5
-    )
+    examples = store.pack_words(
+        [store.EventRecord(1, SpikeClass.CS), store.EventRecord(5, SpikeClass.SS)]
+    ).tolist() == [0x80000001, 5]
 
     unique_ts = np.unique(ts)[:100_000]
     log_events = [

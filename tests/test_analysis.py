@@ -26,11 +26,13 @@ def ev(ts, klass=SpikeClass.SS):
 
 def test_confusion_matrix_basics():
     cm = an.ConfusionMatrix()
-    assert cm.total == 0
-    cm.add(SpikeClass.SS, SpikeClass.CS)
-    assert cm.counts[1, 0] == 1 and cm.total == 1
-    cm.add(SpikeClass.F, SpikeClass.SS)
-    assert cm.counts[2, 1] == 1 and cm.total == 2
+    assert cm.total == 0 and cm.counts.shape == (3, 3) and cm.counts.dtype == np.int64
+    counts = np.zeros((3, 3), dtype=np.int64)
+    counts[SpikeClass.SS, SpikeClass.CS] += 1  # rows are the true class
+    counts[SpikeClass.F, SpikeClass.SS] += 1
+    cm = an.ConfusionMatrix(counts.tolist())
+    assert cm.counts.dtype == np.int64
+    assert cm.counts[1, 0] == 1 and cm.counts[2, 1] == 1 and cm.total == 2
     with pytest.raises(ValidationError):
         an.ConfusionMatrix(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
@@ -141,6 +143,9 @@ def test_dead_zone_hand_rules():
         an.apply_dead_zone(events, cfg, 0.0)
     with pytest.raises(ValidationError):
         an.PostprocConfig(dead_zone_ms=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            an.PostprocConfig(dead_zone_ms=bad)
 
 
 def test_dead_zone_matches_naive_reference():
@@ -199,8 +204,9 @@ def test_match_events_hand_cases():
 
     with pytest.raises(ValidationError):
         an.match_events([], [], 0.0)
-    with pytest.raises(ValidationError):
-        an.match_events([], [], fs, -1.0)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            an.match_events([], [], fs, bad)
 
 
 def test_match_events_conservation():
@@ -236,9 +242,9 @@ def test_match_events_empty_inputs():
 
 
 def naive_match(events, annotations, sample_rate_hz, tolerance_ms=1.0):
-    """Reference greedy matcher on Annotation/event objects and ConfusionMatrix.add."""
+    """Reference greedy matcher on Annotation/event objects, one count at a time."""
     tol_ticks = tolerance_ms * sample_rate_hz / 1000.0
-    cm = an.ConfusionMatrix()
+    counts = np.zeros((3, 3), dtype=np.int64)  # [true, predicted]
     ann = list(annotations)
     claimed = [False] * len(ann)
     j = 0
@@ -246,7 +252,7 @@ def naive_match(events, annotations, sample_rate_hz, tolerance_ms=1.0):
         t = event.timestamp
         while j < len(ann) and (claimed[j] or ann[j].sample_index < t - tol_ticks):
             if not claimed[j]:
-                cm.add(ann[j].label, SpikeClass.F)
+                counts[ann[j].label, SpikeClass.F] += 1
             j += 1
         best = None
         k = j
@@ -257,14 +263,14 @@ def naive_match(events, annotations, sample_rate_hz, tolerance_ms=1.0):
                 best = k
             k += 1
         if best is None:
-            cm.add(SpikeClass.F, event.klass)
+            counts[SpikeClass.F, event.klass] += 1
         else:
             claimed[best] = True
-            cm.add(ann[best].label, event.klass)
+            counts[ann[best].label, event.klass] += 1
     for idx in range(j, len(ann)):
         if not claimed[idx]:
-            cm.add(ann[idx].label, SpikeClass.F)
-    return cm
+            counts[ann[idx].label, SpikeClass.F] += 1
+    return counts
 
 
 def sorted_ticks(max_tick):
@@ -289,7 +295,7 @@ def test_match_events_matches_naive(ann_ticks, ev_ticks, data, rate_tol):
     cm = an.match_events(events, ann, fs, tol)
     expected = naive_match(events, ann, fs, tol)
     assert cm.counts.dtype == np.int64
-    assert cm.counts.tolist() == expected.counts.tolist()
+    assert cm.counts.tolist() == expected.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -48,12 +48,14 @@ def test_pipeline_oracle_interface():
 def test_worker_names(tmp_path):
     assert store.EventRecord(7, SpikeClass.SS) == (7, SpikeClass.SS)
 
-    rows = [train.LabeledWaveform(np.full(40, k, dtype=np.int8), k, 10 + k) for k in SpikeClass]
-    train.save_dataset(tmp_path / "ds.jsonl", rows)
-    for k, row in zip(SpikeClass, train.load_dataset(tmp_path / "ds.jsonl")):
-        assert row.label is k and row.origin_index == 10 + k
-        assert np.array_equal(row.waveform, np.full(40, k))
-    X, y = train.dataset_arrays(rows)
+    built = train.Dataset(np.repeat(np.arange(3), 40).reshape(3, 40), list(SpikeClass), [10, 11, 12])
+    train.save_dataset(tmp_path / "ds.jsonl", built)
+    loaded = train.load_dataset(tmp_path / "ds.jsonl")
+    assert len(loaded) == len(built) == 3
+    for k, a, b in zip(SpikeClass, built, loaded):
+        assert a.label is b.label is k and a.origin_index == b.origin_index == 10 + k
+        assert np.array_equal(a.waveform, b.waveform) and np.array_equal(b.waveform, np.full(40, k))
+    X, y = train.dataset_arrays(loaded)
     assert X.shape == (3, 40) and y.tolist() == [0, 1, 2]
 
     dse_cfg = train.DseConfig(folds=2)

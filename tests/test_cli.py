@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -242,12 +244,13 @@ def _cluster_dataset():
         SpikeClass.SS: np.linspace(90.0, -90.0, 40),
         SpikeClass.F: np.zeros(40),
     }
-    ds = []
+    waveforms, labels, ticks = [], [], []
     for i, klass in enumerate(SpikeClass):
         for j in range(20):
-            w = np.clip(np.round(centers[klass] + rng.normal(0, 4.0, 40)), -128, 127)
-            ds.append(tr.LabeledWaveform(w.astype(np.int8), klass, i * 10_000 + j * 100))
-    return ds
+            waveforms.append(np.clip(np.round(centers[klass] + rng.normal(0, 4.0, 40)), -128, 127))
+            labels.append(klass)
+            ticks.append(i * 10_000 + j * 100)
+    return tr.Dataset(np.array(waveforms), labels, ticks)
 
 
 def test_report_subcommand():
@@ -432,6 +435,43 @@ def test_non_finite_values_exit_1(capsys, model_files, value):
     run = ("run", "--in", root / "r.spkr", "--model", root / "q.json", "--out", root / "e.spkevt")
     assert main_exit(capsys, *run, "--config", cfg, blame="threshold_gain") == 1
     assert not (root / "e.spkevt").exists()
+
+    # float flags that reach library functions rather than a config section
+    signal.write_annotations(root / "a.csv", [])
+    build = ("build-dataset", "--in", root / "r.spkr", "--annotations", root / "a.csv")
+    args = (*build, "--out", root / "b.jsonl", f"--label-window-ms={value}")
+    assert main_exit(capsys, *args, blame="label_window_ms") == 1
+    assert not (root / "b.jsonl").exists()
+    store.write_event_log(root / "e0.spkevt", [], 24414.0)
+    metrics = ("metrics", "--events", root / "e0.spkevt", "--annotations", root / "a.csv")
+    assert main_exit(capsys, *metrics, f"--tolerance-ms={value}", blame="tolerance_ms") == 1
+    assert main_exit(capsys, "report", f"--duration-s={value}", blame="duration") == 1
+
+
+# every float a config file can set in these sections; NaN passes a plain
+# range comparison, so each one needs its own finiteness check
+NON_FINITE_KEYS = [
+    (section, f.name)
+    for section in ("synthesis", "postprocess", "resources")
+    for f in dataclasses.fields(cli._SECTIONS[section])
+    if typing.get_type_hints(cli._SECTIONS[section])[f.name] is float
+]
+
+
+@pytest.mark.parametrize("section,key", NON_FINITE_KEYS, ids=[".".join(k) for k in NON_FINITE_KEYS])
+def test_non_finite_config_values_exit_1(capsys, tmp_path, section, key):
+    store.write_event_log(tmp_path / "e.spkevt", [store.EventRecord(5, SpikeClass.SS)], 24414.0)
+    out = tmp_path / "out"
+    command = {
+        "synthesis": ("generate", "--out", out, "--annotations", tmp_path / "a.csv"),
+        "postprocess": ("postprocess", "--in", tmp_path / "e.spkevt", "--out", out),
+        "resources": ("report",),
+    }[section]
+    cfg = tmp_path / "c.json"
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        cfg.write_text('{"%s": {"%s": %s}}' % (section, key, literal))
+        assert main_exit(capsys, *command, "--config", cfg, blame=key) == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

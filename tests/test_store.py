@@ -12,57 +12,50 @@ from spikestage.nn import SpikeClass
 
 
 def test_pack_examples():
-    assert store.pack(store.EventRecord(1, SpikeClass.CS)) == 0x80000001
-    assert store.pack(store.EventRecord(5, SpikeClass.SS)) == 5
-    assert store.pack(store.EventRecord(0, SpikeClass.SS)) == 0
-    assert store.pack(store.EventRecord(2**31 - 1, SpikeClass.CS)) == 0xFFFFFFFF
+    events = [
+        store.EventRecord(1, SpikeClass.CS),
+        store.EventRecord(5, SpikeClass.SS),
+        store.EventRecord(0, SpikeClass.SS),
+        store.EventRecord(2**31 - 1, SpikeClass.CS),
+    ]
+    words = store.pack_words(events)
+    assert words.dtype == np.uint32
+    assert words.tolist() == [0x80000001, 5, 0, 0xFFFFFFFF]
+    assert store.unpack_words(words) == events
+    assert store.pack_words([]).shape == (0,)
+    assert store.unpack_words(np.empty(0, dtype=np.uint32)) == []
 
 
 def test_pack_rejections():
-    with pytest.raises(ValidationError):
-        store.pack(store.EventRecord(1, SpikeClass.F))
-    with pytest.raises(ValidationError):
-        store.pack(store.EventRecord(-1, SpikeClass.SS))
-    with pytest.raises(ValidationError):
-        store.pack(store.EventRecord(2**31, SpikeClass.SS))
-
-
-def test_unpack_rejections():
-    with pytest.raises(ValidationError):
-        store.unpack(-1)
-    with pytest.raises(ValidationError):
-        store.unpack(2**32)
+    for event in (
+        store.EventRecord(1, SpikeClass.F),
+        store.EventRecord(-1, SpikeClass.SS),
+        store.EventRecord(2**31, SpikeClass.SS),
+    ):
+        with pytest.raises(ValidationError):
+            store.pack_words([store.EventRecord(0, SpikeClass.SS), event])
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.integers(min_value=0, max_value=2**31 - 1),
-    st.sampled_from([SpikeClass.SS, SpikeClass.CS]),
+    st.lists(
+        st.builds(
+            store.EventRecord,
+            st.integers(min_value=0, max_value=2**31 - 1),
+            st.sampled_from([SpikeClass.SS, SpikeClass.CS]),
+        ),
+        max_size=20,
+    )
 )
-def test_pack_unpack_roundtrip(ts, klass):
-    event = store.EventRecord(ts, klass)
-    assert store.unpack(store.pack(event)) == event
+def test_pack_unpack_roundtrip(events):
+    assert store.unpack_words(store.pack_words(events)) == events
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_word_roundtrip(word):
-    assert store.pack(store.unpack(word)) == word
-
-
-def test_vector_forms_match_scalar():
-    events = [
-        store.EventRecord(0, SpikeClass.SS),
-        store.EventRecord(12345, SpikeClass.CS),
-        store.EventRecord(2**31 - 1, SpikeClass.SS),
-    ]
-    words = store.pack_words(events)
-    assert words.dtype == np.uint32
-    assert words.tolist() == [store.pack(e) for e in events]
-    assert store.unpack_words(words) == events
-    assert store.pack_words([]).shape == (0,)
-    with pytest.raises(ValidationError):
-        store.pack_words([store.EventRecord(3, SpikeClass.F)])
+@given(st.lists(st.integers(min_value=0, max_value=2**32 - 1), max_size=20))
+def test_word_roundtrip(words):
+    words = np.array(words, dtype=np.uint32)
+    assert store.pack_words(store.unpack_words(words)).tobytes() == words.tobytes()
 
 
 def test_event_log_roundtrip(tmp_path):
@@ -165,8 +158,11 @@ def test_storage_required():
     assert store.storage_required(86400.0, 100.0, 4) == 34_560_000
     assert store.storage_required(1.5, 1.0) == 8  # ceil to 2 events
     assert store.storage_required(0.0, 100.0) == 0
-    with pytest.raises(ValidationError):
-        store.storage_required(-1.0, 100.0)
+    bad = [(-1.0, 100.0), (math.nan, 100.0), (math.inf, 100.0), (-math.inf, 100.0)]
+    bad += [(10.0, math.nan), (math.inf, 0.0), (1e308, 100.0)]  # a NaN and an infinite product
+    for duration_s, rate in bad:
+        with pytest.raises(ValidationError):
+            store.storage_required(duration_s, rate)
     with pytest.raises(ValidationError):
         store.storage_required(10.0, 100.0, 0)
 
@@ -213,3 +209,6 @@ def test_resource_model_validation():
         store.ResourceModel(e_classify_nj=-1.0)
     with pytest.raises(ValidationError):
         store.ResourceModel(battery_voltage_v=-0.1)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            store.ResourceModel(e_adc_pj=value)

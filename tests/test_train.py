@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import spikestage as sp
 from spikestage import nn
@@ -24,14 +25,13 @@ def make_cluster_dataset(counts=(20, 20, 20), seed=0, spread=4.0):
         SpikeClass.SS: np.linspace(90.0, -90.0, 40),
         SpikeClass.F: np.zeros(40),
     }
-    dataset = []
-    tick = 0
+    waveforms, labels = [], []
     for klass, n in zip(SpikeClass, counts):
         for _ in range(n):
             w = np.clip(np.round(centers[klass] + rng.normal(0.0, spread, 40)), -128, 127)
-            dataset.append(tr.LabeledWaveform(w.astype(np.int8), klass, tick))
-            tick += 100
-    return dataset
+            waveforms.append(w)
+            labels.append(klass)
+    return tr.Dataset(np.reshape(waveforms, (-1, 40)), labels, 100 * np.arange(len(labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +103,34 @@ def test_build_dataset_validation():
         tr.build_dataset(np.zeros(10), [], 24414.0, label_window_ms=0.0)
 
 
-def test_labeled_waveform_validation():
-    with pytest.raises(ValidationError):
-        tr.LabeledWaveform(np.zeros(39, dtype=np.int8), SpikeClass.SS, 0)
+def test_dataset_validation():
+    ds = tr.Dataset(np.zeros((2, 40)), [SpikeClass.SS, SpikeClass.F], [5, 9])
+    assert ds.waveforms.dtype == np.int8 and ds.labels.dtype == ds.ticks.dtype == np.int64
+    for bad in (
+        (np.zeros((2, 39)), [1, 2], [5, 9]),  # short waveforms
+        (np.zeros(40), [1], [5]),  # one waveform, not a column of them
+        (np.zeros((3, 40)), [1, 2], [5, 9]),  # a waveform without a label
+        (np.zeros((2, 40)), [1, 2], [5]),  # a label without a tick
+        (np.zeros((1, 40)), 1, [5]),  # a scalar label
+    ):
+        with pytest.raises(ValidationError):
+            tr.Dataset(*bad)
+
+
+def test_dataset_rows():
+    ds = make_cluster_dataset((3, 2, 1))
+    rows = list(ds)
+    assert [row.label for row in rows] == [SpikeClass(k) for k in (0, 0, 0, 1, 1, 2)]
+    assert all(type(row.label) is SpikeClass and type(row.origin_index) is int for row in rows)
+    assert [row.origin_index for row in rows] == ds.ticks.tolist()
+    assert np.array_equal(np.stack([row.waveform for row in rows]), ds.waveforms)
+    for index in (slice(1, 4), np.array([5, 0, 2]), ds.labels == SpikeClass.SS):
+        part = ds[index]
+        assert isinstance(part, tr.Dataset)
+        assert part.ticks.tolist() == ds.ticks[index].tolist()
+        assert np.array_equal(part.waveforms, ds.waveforms[index])
+        assert part.labels.tolist() == ds.labels[index].tolist()
+    assert len(ds[:0]) == 0 and len(ds) == 6
 
 
 def test_dataset_roundtrip(tmp_path, dataset):
@@ -161,6 +186,7 @@ def test_load_dataset_rejects_malformed(tmp_path):
         {"tick": "5"},
         {"tick": True},
         {"tick": None},
+        {"tick": 2**63},
     ):
         path.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40, **bad}) + "\n")
         with pytest.raises(FormatError):
@@ -168,7 +194,7 @@ def test_load_dataset_rejects_malformed(tmp_path):
 
     # a true elsewhere on the line does not make an integer waveform invalid
     path.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40, "note": True}) + "\n")
-    assert tr.load_dataset(path)[0].waveform.tolist() == [0] * 40
+    assert tr.load_dataset(path).waveforms.tolist() == [[0] * 40]
 
     path.write_text(good + "\n\n" + good + "\n")
     assert len(tr.load_dataset(path)) == 2
@@ -180,7 +206,7 @@ def test_dataset_arrays():
     assert X.shape == (6, 40) and X.dtype == np.float64
     assert y.tolist() == [0, 0, 0, 1, 1, 2]
     with pytest.raises(ValidationError):
-        tr.dataset_arrays([])
+        tr.dataset_arrays(ds[:0])
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +220,9 @@ def test_balance_classes():
     assert all(counts[k] == 4 for k in SpikeClass)
     ticks = [item.origin_index for item in balanced]
     assert ticks == sorted(ticks)
-    originals = {id(item) for item in ds}
-    assert all(id(item) in originals for item in balanced)
+    rows = np.searchsorted(ds.ticks, ticks)  # the balanced rows are rows of ds
+    assert np.array_equal(balanced.waveforms, ds.waveforms[rows])
+    assert np.array_equal(balanced.labels, ds.labels[rows])
     again = tr.balance_classes(ds, seed=3)
     assert [item.origin_index for item in again] == ticks
     other = tr.balance_classes(ds, seed=4)
@@ -206,19 +233,10 @@ def test_balance_classes():
 
 def test_filter_outliers_removes_planted_mislabel():
     rng = np.random.default_rng(21)
-    ds = []
-    for i in range(30):
-        w = np.clip(np.round(50 + rng.normal(0, 2, 40)), -128, 127).astype(np.int8)
-        ds.append(tr.LabeledWaveform(w, SpikeClass.SS, i))
-    for i in range(30):
-        w = np.clip(np.round(-50 + rng.normal(0, 2, 40)), -128, 127).astype(np.int8)
-        ds.append(tr.LabeledWaveform(w, SpikeClass.CS, 100 + i))
-    planted = tr.LabeledWaveform(
-        np.clip(np.round(50 + rng.normal(0, 2, 40)), -128, 127).astype(np.int8),
-        SpikeClass.F,
-        999,
-    )
-    ds.append(planted)
+    centers = [50] * 30 + [-50] * 30 + [50]  # SS, CS, and one planted F among the SS
+    waveforms = [np.clip(np.round(c + rng.normal(0, 2, 40)), -128, 127) for c in centers]
+    labels = [SpikeClass.SS] * 30 + [SpikeClass.CS] * 30 + [SpikeClass.F]
+    ds = tr.Dataset(np.array(waveforms), labels, [*range(30), *range(100, 130), 999])
     kept = tr.filter_outliers(ds, k=10, min_foreign=9)
     assert len(kept) == 60
     assert all(item.label is not SpikeClass.F for item in kept)
@@ -227,13 +245,50 @@ def test_filter_outliers_removes_planted_mislabel():
 def test_filter_outliers_passthrough_and_validation():
     ds = make_cluster_dataset((2, 2, 2))
     out = tr.filter_outliers(ds, k=10)
-    assert out == ds and out is not ds
+    assert out.ticks.tolist() == ds.ticks.tolist()
     with pytest.raises(ValidationError):
         tr.filter_outliers(ds, k=0)
     with pytest.raises(ValidationError):
         tr.filter_outliers(ds, k=5, min_foreign=0)
     with pytest.raises(ValidationError):
         tr.filter_outliers(ds, k=5, min_foreign=6)
+
+
+def filter_outliers_loop(dataset, k, min_foreign):
+    """Ticks filter_outliers keeps, from the per-row loop it ran before it took one mask."""
+    if len(dataset) <= k:
+        return dataset.ticks.tolist()
+    X, y = tr.dataset_arrays(dataset)
+    std = X.std(axis=0)
+    std[std == 0.0] = 1.0
+    Z = (X - X.mean(axis=0)) / std
+    _, neighbors = cKDTree(Z).query(Z, k=k + 1)
+    kept = []
+    for i, item in enumerate(dataset):
+        foreign = np.count_nonzero(y[neighbors[i][neighbors[i] != i][:k]] != y[i])
+        if foreign < min_foreign:
+            kept.append(item.origin_index)
+    return kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # few distinct waveforms, so most rows have exact duplicates and a row can
+    # be missing from its own k + 1 nearest neighbours
+    rows=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(list(SpikeClass))), max_size=40),
+    k=st.integers(1, 10),
+    data=st.data(),
+)
+def test_filter_outliers_matches_loop(rows, k, data):
+    min_foreign = data.draw(st.integers(1, k))
+    shapes = np.random.default_rng(0).integers(-128, 128, size=(4, 40))
+    ds = tr.Dataset(
+        shapes[[shape for shape, _ in rows]].reshape(-1, 40),
+        [label for _, label in rows],
+        np.arange(len(rows)),
+    )
+    kept = tr.filter_outliers(ds, k, min_foreign)
+    assert kept.ticks.tolist() == filter_outliers_loop(ds, k, min_foreign)
 
 
 def test_train_test_split():
@@ -350,14 +405,11 @@ def test_train_improves_and_is_deterministic():
 
 def test_train_stops_early_on_noise():
     rng = np.random.default_rng(3)
-    ds = [
-        tr.LabeledWaveform(
-            rng.integers(-100, 100, size=40).astype(np.int8),
-            SpikeClass(int(rng.integers(0, 3))),
-            i,
-        )
-        for i in range(60)
-    ]
+    waveforms, labels = [], []
+    for _ in range(60):  # drawn in this order, so the data stay those of the per-row loop
+        waveforms.append(rng.integers(-100, 100, size=40))
+        labels.append(int(rng.integers(0, 3)))
+    ds = tr.Dataset(np.array(waveforms), labels, np.arange(60))
     cfg = tr.TrainConfig(epochs=400, patience=5, val_fraction=0.2, batch_size=16, learning_rate=3e-3)
     _, log = tr.train_mlp(ds, (40, 8, 3), cfg, seed=0)
     assert log.stopped_early
@@ -392,6 +444,11 @@ def test_training_log_jsonl(tmp_path):
 # digest recomputed at a commit known to be good.
 GOLDEN_TRAINING_SHA256 = "899c973f59efaae20e1a3833df12f31a62b7c987f9babe8d79fb44d50738671b"
 
+# sha256 of the JSONL file save_dataset wrote for the conftest recording's
+# dataset while datasets were lists of row objects; the columnar Dataset
+# must write the same bytes in the same row order.
+GOLDEN_DATASET_SHA256 = "53cdee54b97267189b2ad33b17c740fc6f2c8f3c0931cf893be951e8a95a4024"
+
 
 def training_digest() -> str:
     """sha256 over weights, biases and logs of eight trainings, plus one 3-fold CV.
@@ -421,6 +478,12 @@ def training_digest() -> str:
 
 def test_training_bytes_are_pinned():
     assert training_digest() == GOLDEN_TRAINING_SHA256
+
+
+def test_dataset_bytes_are_pinned(tmp_path, dataset):
+    path = tmp_path / "ds.jsonl"
+    tr.save_dataset(path, dataset)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DATASET_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +520,11 @@ def test_evaluate_counts_match_argmax(trained):
 def test_stratified_folds_partition():
     ds = make_cluster_dataset((25, 11, 7))
     folds = tr.stratified_folds(ds, 3, seed=1)
-    flat = sorted(i for fold in folds for i in fold)
-    assert flat == list(range(len(ds)))
+    assert sorted(np.concatenate(folds).tolist()) == list(range(len(ds)))
     for klass in SpikeClass:
-        sizes = [
-            sum(1 for i in fold if ds[i].label is klass) for fold in folds
-        ]
+        sizes = [np.count_nonzero(ds.labels[fold] == klass) for fold in folds]
         assert max(sizes) - min(sizes) <= 1
-    assert all(fold == sorted(fold) for fold in folds)
+    assert all(np.all(np.diff(fold) > 0) for fold in folds)
     with pytest.raises(ValidationError):
         tr.stratified_folds(ds, 1, seed=0)
     with pytest.raises(ValidationError):
@@ -517,7 +577,7 @@ def folds_loop(dataset, folds, seed):
 )
 def test_class_row_selection_matches_loops(labels, seed, test_fraction, folds):
     """balance, split and folds draw the same rows as per-class Python loops."""
-    ds = [tr.LabeledWaveform(np.zeros(40), k, i) for i, k in enumerate(labels)]
+    ds = tr.Dataset(np.zeros((len(labels), 40)), labels, np.arange(len(labels)))
 
     def ticks(part):
         return [item.origin_index for item in part]
@@ -531,7 +591,8 @@ def test_class_row_selection_matches_loops(labels, seed, test_fraction, folds):
     assert ticks(test) == split_loop(ds, test_fraction, seed)
     assert ticks(train) == sorted(set(range(len(ds))) - set(ticks(test)))
     if all(n >= folds for n in Counter(labels).values()):
-        assert tr.stratified_folds(ds, folds, seed) == folds_loop(ds, folds, seed)
+        folds_drawn = tr.stratified_folds(ds, folds, seed)
+        assert [fold.tolist() for fold in folds_drawn] == folds_loop(ds, folds, seed)
     else:
         with pytest.raises(ValidationError):
             tr.stratified_folds(ds, folds, seed)
