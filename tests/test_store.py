@@ -36,6 +36,26 @@ def test_pack_rejections():
             store.pack_words([store.EventRecord(0, SpikeClass.SS), event])
 
 
+def test_vector_forms_match_scalar():
+    # per-event reference of the word layout: class bit 31, timestamp bits 0-30
+    def word_of(event):
+        return (int(event.klass is SpikeClass.CS) << 31) | event.timestamp
+
+    events = [
+        store.EventRecord(0, SpikeClass.SS),
+        store.EventRecord(12345, SpikeClass.CS),
+        store.EventRecord(2**31 - 1, SpikeClass.SS),
+    ]
+    words = store.pack_words(events)
+    assert words.dtype == np.uint32
+    assert words.tolist() == [word_of(e) for e in events]
+    assert [store.unpack_words(np.array([w], dtype=np.uint32))[0] for w in words] == events
+    assert store.unpack_words(words) == events
+    assert store.pack_words([]).shape == (0,)
+    with pytest.raises(ValidationError):
+        store.pack_words([store.EventRecord(3, SpikeClass.F)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
