@@ -16,7 +16,8 @@ model, event log) can be produced, inspected, and fed forward on its own:
 
 Optional JSON config file (--config) with one object per section; unknown
 sections or keys are rejected.  Exit codes: 0 success, 1 invalid arguments
-or config, 2 malformed or unreadable file, 3 no feasible result.
+or config, 2 malformed or unreadable file, 3 no feasible result.  JSON on
+stdout is strict: a result holding NaN or an infinity exits 1 unprinted.
 """
 
 from __future__ import annotations
@@ -32,16 +33,6 @@ import numpy as np
 from . import analysis, detector, nn, pipeline, signal, store, train
 from .errors import FormatError, InfeasibleError, SpikestageError, ValidationError
 
-_SECTIONS = {
-    "recording": signal.RecordingConfig,
-    "synthesis": signal.SynthesisParams,
-    "detector": detector.DetectorConfig,
-    "train": train.TrainConfig,
-    "dse": train.DseConfig,
-    "resources": store.ResourceModel,
-    "postprocess": analysis.PostprocConfig,
-}
-
 
 @dataclasses.dataclass
 class AppConfig:
@@ -52,6 +43,10 @@ class AppConfig:
     dse: train.DseConfig
     resources: store.ResourceModel
     postprocess: analysis.PostprocConfig
+
+
+# config section name -> its dataclass, in AppConfig field order
+_SECTIONS = typing.get_type_hints(AppConfig)
 
 
 def _build_section(name: str, cls, doc: dict):
@@ -149,8 +144,12 @@ def _seed(text: str) -> int:
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Print doc as strict JSON; a NaN or an infinity fails before any byte is written."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"result holds a non-finite number ({exc})") from exc
+    sys.stdout.write(text + "\n")
 
 
 def _parse_topology(text: str) -> tuple:

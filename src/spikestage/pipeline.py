@@ -45,7 +45,7 @@ from .nn import (
     SpikeClass,
     infer_quantized_batch,
 )
-from .store import EventRecord as PipelineEvent
+from .store import EventRecord
 
 
 class FsmState(Enum):
@@ -135,7 +135,7 @@ class Pipeline:
         self._buffer = []
         self.fsm = FsmState.INIT
 
-    def step(self, x: float) -> PipelineEvent | None:
+    def step(self, x: float) -> EventRecord | None:
         """Process one raw sample; returns the event emitted on this tick."""
         tick = self.detector.ticks
         state = self.fsm
@@ -173,7 +173,7 @@ class Pipeline:
                 self.fsm = FsmState.RUNNING
         return event
 
-    def _classify(self) -> PipelineEvent | None:
+    def _classify(self) -> EventRecord | None:
         waveform = quantize_capture_array(self._buffer)
         logits = infer_quantized_batch(self.model, waveform[None, :])[0]
         klass = SpikeClass(int(np.argmax(logits)))
@@ -186,9 +186,9 @@ class Pipeline:
         assert self._last_event_ts is None or ts > self._last_event_ts
         self._last_event_ts = ts
         stats.events_emitted += 1
-        return PipelineEvent(ts, klass)
+        return EventRecord(ts, klass)
 
-    def run(self, samples) -> list[PipelineEvent]:
+    def run(self, samples) -> list[EventRecord]:
         """Convenience loop over a whole array of samples."""
         events = []
         for x in np.asarray(samples, dtype=np.float64):
@@ -255,7 +255,7 @@ def run_pipeline(
     model: QuantizedMlpModel,
     det_cfg: det.DetectorConfig | None = None,
     options: PipelineOptions | None = None,
-) -> tuple[list[PipelineEvent], RunStats]:
+) -> tuple[list[EventRecord], RunStats]:
     """Whole-stream equivalent of stepping a Pipeline over samples.
 
     Produces the same events and the same stats as the tick-by-tick
@@ -290,7 +290,7 @@ def run_pipeline(
         keep = labels != SpikeClass.F
         classified, labels = classified[keep], labels[keep]
     klass_of = map(klasses.__getitem__, labels.tolist())
-    events = list(map(PipelineEvent, classified.tolist(), klass_of))
+    events = list(map(EventRecord, classified.tolist(), klass_of))
     stats.events_emitted = len(events)
     return events, stats
 
@@ -304,8 +304,8 @@ def write_events_csv(path, events) -> None:
             writer.writerow([event.timestamp, event.klass.name])
 
 
-def read_events_csv(path) -> list[PipelineEvent]:
-    events: list[PipelineEvent] = []
+def read_events_csv(path) -> list[EventRecord]:
+    events: list[EventRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -314,5 +314,5 @@ def read_events_csv(path) -> list[PipelineEvent]:
         for row in reader:
             if len(row) != 2 or row[1] not in SpikeClass.__members__:
                 raise FormatError(f"{path}: malformed row {row!r}")
-            events.append(PipelineEvent(int(row[0]), SpikeClass[row[1]]))
+            events.append(EventRecord(int(row[0]), SpikeClass[row[1]]))
     return events

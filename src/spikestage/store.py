@@ -40,7 +40,7 @@ RECORD_BYTES = 4
 
 
 class EventRecord(NamedTuple):
-    """One classified detection; the pipeline emits it as PipelineEvent."""
+    """One classified detection, as the pipeline emits it."""
 
     timestamp: int  # detection tick, in sample ticks since stream start
     klass: SpikeClass  # any class, but pack_words stores only SS and CS
@@ -152,6 +152,8 @@ class ResourceModel:
             value = getattr(self, name)
             if not (value >= 0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be non-negative and finite")
+        if self.spike_rate_hz == 0:  # the storage capacity is spread over this rate
+            raise ValidationError("spike_rate_hz must be positive")
 
 
 def storage_required(duration_s: float, spike_rate_hz: float, record_bytes: int = RECORD_BYTES) -> int:
@@ -182,14 +184,9 @@ def power_breakdown(model: ResourceModel) -> dict[str, float]:
     }
 
 
-def average_power(model: ResourceModel) -> float:
-    """Average system power in watts."""
-    return power_breakdown(model)["total_w"]
-
-
 def battery_life_days(model: ResourceModel) -> float:
     """How long the configured battery sustains the average power, in days."""
-    power = average_power(model)
+    power = power_breakdown(model)["total_w"]
     if power <= 0:
         raise ValidationError("average power must be positive to size a battery")
     energy_j = model.battery_capacity_mah / 1000.0 * 3600.0 * model.battery_voltage_v

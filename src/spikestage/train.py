@@ -131,6 +131,9 @@ class DseConfig:
             raise ValidationError("folds must be at least 2")
         if not 0.0 < self.confidence < 1.0:
             raise ValidationError("confidence must be in (0, 1)")
+        # a NaN floor rejects every candidate, so the search would end "infeasible"
+        if not all(map(math.isfinite, (self.cs_floor, *self.ortho_lambdas))):
+            raise ValidationError("cs_floor and ortho_lambdas must be finite")
 
 
 # Training runs with inputs scaled from int8 capture codes into [-1, 1).
@@ -731,6 +734,7 @@ def run_dse(
         (dataset, tuple(topology), rf, train_cfg, dse_cfg.folds, seed, dse_cfg.confidence)
         for topology, rf in candidates
     ]
+    jobs = min(jobs, len(tasks))  # a fork pool starts all its workers at once
     if jobs <= 1:
         return [_dse_task(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

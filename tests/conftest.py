@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-import spikestage as sp
+from spikestage import nn, signal
 from spikestage import train as tr
 
 
 @pytest.fixture(scope="session")
 def recording():
     """60 s synthetic recording shared by the unit tests."""
-    cfg = sp.RecordingConfig(duration_s=60.0, seed=1234)
-    samples, annotations = sp.generate_recording(cfg, sp.SynthesisParams())
+    cfg = signal.RecordingConfig(duration_s=60.0, seed=1234)
+    samples, annotations = signal.generate_recording(cfg, signal.SynthesisParams())
     return samples, annotations, cfg
 
 
@@ -27,5 +27,5 @@ def trained(dataset):
     model, _ = tr.train_mlp(
         processed, (40, 8, 8, 3, 3, 3), tr.TrainConfig(ortho_lambda=0.001), seed=5
     )
-    qmodel = sp.quantize(model, tr.dataset_arrays(processed)[0])
+    qmodel = nn.quantize(model, tr.dataset_arrays(processed)[0])
     return model, qmodel, test_part, processed

@@ -14,11 +14,11 @@ import time
 import numpy as np
 import pytest
 
-import spikestage as sp
 from spikestage import analysis as an
 from spikestage import detector as det
 from spikestage import nn
 from spikestage import pipeline as pl
+from spikestage import signal
 from spikestage import store
 from spikestage import train as tr
 from spikestage.nn import SpikeClass
@@ -34,8 +34,8 @@ def _report(capsys, label, ok, detail):
 def chain600():
     """Ten-minute recording, full train + quantize + deploy chain, timed."""
     t0 = time.perf_counter()
-    rec_cfg = sp.RecordingConfig(duration_s=600.0, seed=7)
-    samples, annotations = sp.generate_recording(rec_cfg, sp.SynthesisParams())
+    rec_cfg = signal.RecordingConfig(duration_s=600.0, seed=7)
+    samples, annotations = signal.generate_recording(rec_cfg, signal.SynthesisParams())
     samples_f = samples.astype(np.float64)
     dataset = tr.build_dataset(samples_f, annotations, rec_cfg.sample_rate_hz)
     train_part, test_part = tr.train_test_split(dataset, 0.20, seed=1)
@@ -235,8 +235,8 @@ def test_06_gradient_check(capsys):
 
 def test_07_fsm_invariants(capsys, chain600):
     qmodel = chain600["qmodel"]
-    rec_cfg = sp.RecordingConfig(duration_s=41.0, seed=99)  # just over 1e6 ticks
-    samples, _ = sp.generate_recording(rec_cfg, sp.SynthesisParams())
+    rec_cfg = signal.RecordingConfig(duration_s=41.0, seed=99)  # just over 1e6 ticks
+    samples, _ = signal.generate_recording(rec_cfg, signal.SynthesisParams())
     stream = samples.astype(np.float64)
     n = len(stream)
     options = pl.PipelineOptions(store_false_positives=True)
@@ -354,7 +354,7 @@ def test_09_dead_zone_rules(capsys):
         n = int(rng.integers(0, 40))
         ts = np.unique(rng.integers(0, 20_000, size=n))
         events = [
-            pl.PipelineEvent(int(t), SpikeClass(int(rng.integers(0, 3)))) for t in ts
+            store.EventRecord(int(t), SpikeClass(int(rng.integers(0, 3)))) for t in ts
         ]
         kept = an.apply_dead_zone(events, cfg, fs)
         if kept != naive(events):
@@ -366,12 +366,12 @@ def test_09_dead_zone_rules(capsys):
     # boundary rule: the zone is open at its end, so the first tick at or
     # past timestamp + zone survives and the last tick inside is dropped
     past = an.apply_dead_zone(
-        [pl.PipelineEvent(0, SpikeClass.SS), pl.PipelineEvent(math.ceil(zone), SpikeClass.SS)],
+        [store.EventRecord(0, SpikeClass.SS), store.EventRecord(math.ceil(zone), SpikeClass.SS)],
         cfg,
         fs,
     )
     inside = an.apply_dead_zone(
-        [pl.PipelineEvent(0, SpikeClass.SS), pl.PipelineEvent(int(zone), SpikeClass.SS)],
+        [store.EventRecord(0, SpikeClass.SS), store.EventRecord(int(zone), SpikeClass.SS)],
         cfg,
         fs,
     )

@@ -10,14 +10,14 @@ from spikestage import analysis as an
 from spikestage import detector as det
 from spikestage.errors import ValidationError
 from spikestage.nn import SpikeClass
-from spikestage.pipeline import PipelineEvent
 from spikestage.signal import Annotation
+from spikestage.store import EventRecord
 
 FS = 24414.0
 
 
 def ev(ts, klass=SpikeClass.SS):
-    return PipelineEvent(ts, klass)
+    return EventRecord(ts, klass)
 
 
 # ---------------------------------------------------------------------------

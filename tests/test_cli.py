@@ -268,6 +268,35 @@ def test_report_subcommand():
     assert day["storage"]["fits"] is False  # a full day overflows 32 MiB
 
 
+def test_light_modules_import_without_scipy():
+    # the package has no re-export layer, so these modules pull in only what they use
+    modules = ("errors", "nn", "store", "signal", "analysis")
+    code = "import sys\n" + "".join(f"import spikestage.{m}\n" for m in modules)
+    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert run_cli("report").returncode == 0
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"resources": {"spike_rate_hz": 0}}',
+        # finite inputs whose battery life overflows to infinity
+        '{"resources": {"battery_voltage_v": 1e308, "battery_capacity_mah": 1e308}}',
+    ],
+    ids=["zero_spike_rate", "infinite_battery_life"],
+)
+def test_report_exits_1_on_values_it_cannot_print(capsys, tmp_path, doc):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(doc)
+    assert cli.main(["report", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_exit_codes(tmp_path, chain):
     p, _ = chain
 
@@ -472,6 +501,20 @@ def test_non_finite_config_values_exit_1(capsys, tmp_path, section, key):
         cfg.write_text('{"%s": {"%s": %s}}' % (section, key, literal))
         assert main_exit(capsys, *command, "--config", cfg, blame=key) == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_dse_config_exits_1(capsys, tmp_path, literal):
+    # a NaN floor would reject every candidate, but only after the whole search
+    ds = tmp_path / "tiny.jsonl"
+    tr.save_dataset(ds, _cluster_dataset())
+    cfg = tmp_path / "c.json"
+    train = '"train": {"epochs": 2, "patience": 1}'
+    dse = ("dse", "--dataset", ds, "--config", cfg, "--out", tmp_path / "dse.json")
+    for key, value in (("cs_floor", literal), ("ortho_lambdas", f"[0.01, {literal}]")):
+        cfg.write_text('{"dse": {"folds": 2, "%s": %s}, %s}' % (key, value, train))
+        assert main_exit(capsys, *dse, blame=key) == 1
+        assert not (tmp_path / "dse.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spikestage import detector as det
 from spikestage import nn
 from spikestage import pipeline as pl
+from spikestage import store
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
 
@@ -52,7 +53,7 @@ def naive_fsm(samples, model, det_cfg=None, options=None):
                 )[0]
                 klass = SpikeClass(int(np.argmax(logits)))
                 if klass is not SpikeClass.F or options.store_false_positives:
-                    events.append(pl.PipelineEvent(detection_tick, klass))
+                    events.append(store.EventRecord(detection_tick, klass))
             countdown -= 1
             if countdown == 0:
                 mode = "running"
@@ -221,7 +222,7 @@ def check_capture_path(stream, det_cfg, options):
     klasses = nn.infer_quantized_batch(SMALL_MODEL, waveforms[keep]).argmax(axis=1)
     assert stats.classify_invocations == int(keep.sum())
     assert events == [
-        pl.PipelineEvent(int(t), SpikeClass(int(k)))
+        store.EventRecord(int(t), SpikeClass(int(k)))
         for t, k in zip(ticks[keep], klasses)
         if options.store_false_positives or k != SpikeClass.F
     ]
@@ -330,9 +331,9 @@ def test_request_reconvergence_aborts_capture(trained):
 
 def test_events_csv_roundtrip(tmp_path):
     events = [
-        pl.PipelineEvent(100, SpikeClass.SS),
-        pl.PipelineEvent(250, SpikeClass.CS),
-        pl.PipelineEvent(400, SpikeClass.F),
+        store.EventRecord(100, SpikeClass.SS),
+        store.EventRecord(250, SpikeClass.CS),
+        store.EventRecord(400, SpikeClass.F),
     ]
     path = tmp_path / "events.csv"
     pl.write_events_csv(path, events)

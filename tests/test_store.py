@@ -197,7 +197,7 @@ def test_power_breakdown_reference_numbers():
     assert math.isclose(p["storage_w"], 2.8e-8, rel_tol=1e-12)
     assert p["total_w"] == p["adc_w"] + p["detector_w"] + p["classifier_w"] + p["storage_w"]
     assert math.isclose(p["total_w"], 1.40026647e-4, rel_tol=1e-6)
-    assert store.average_power(model) == p["total_w"]
+    assert store.power_breakdown(model)["total_w"] == p["total_w"]
 
 
 def test_detector_energy_basis():
@@ -213,7 +213,7 @@ def test_battery_life():
     model = store.ResourceModel()
     days = store.battery_life_days(model)
     energy_j = 12.0 / 1000.0 * 3600.0 * 1.5
-    expected = energy_j / store.average_power(model) / 86400.0
+    expected = energy_j / store.power_breakdown(model)["total_w"] / 86400.0
     assert math.isclose(days, expected, rel_tol=1e-12)
     assert math.isclose(days, 5.356, rel_tol=1e-3)
     assert 3.0 < days < 6.0
@@ -232,3 +232,7 @@ def test_resource_model_validation():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
             store.ResourceModel(e_adc_pj=value)
+    # the report spreads the storage capacity over the spike rate
+    with pytest.raises(ValidationError, match="spike_rate_hz"):
+        store.ResourceModel(spike_rate_hz=0.0)
+    assert store.storage_required(3600.0, 0.0) == 0

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-import spikestage as sp
-from spikestage import nn
+from spikestage import nn, signal
 from spikestage import train as tr
 from spikestage.analysis import overall_accuracy
 from spikestage.errors import FormatError, ValidationError
@@ -91,7 +90,7 @@ def nearest_label_oracle(ticks, annotations, window):
 def test_label_detections_matches_loop(ann, ticks, window):
     # ties, no annotations, ticks before the first and after the last
     # annotation, distances of exactly the window, repeated annotation ticks
-    annotations = [sp.Annotation(t, k) for t, k in sorted(ann, key=lambda a: a[0])]
+    annotations = [signal.Annotation(t, k) for t, k in sorted(ann, key=lambda a: a[0])]
     labels = tr.label_detections(np.array(ticks, dtype=np.int64), annotations, window)
     assert labels.tolist() == nearest_label_oracle(ticks, annotations, window)
 
@@ -662,6 +661,42 @@ def test_run_dse_parallel_matches_serial():
             assert a.per_class[klass].fold_values == b.per_class[klass].fold_values
 
 
+def test_run_dse_caps_workers_at_candidates(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records the worker count, maps in-process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(tr, "ProcessPoolExecutor", SerialPool)
+    ds = make_cluster_dataset((20, 20, 20), seed=6)
+    candidates = [((40, 2, 3), 0.01), ((40, 4, 3), 0.001)]
+    dse_cfg = tr.DseConfig(folds=2)
+    capped = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=100_000)
+    assert pools == [2]
+    serial = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=1)
+    assert pools == [2]  # one job runs in-process
+    for a, b in zip(capped, serial, strict=True):
+        assert (a.topology, a.ortho_lambda) == (b.topology, b.ortho_lambda)
+        for klass in SpikeClass:
+            assert a.per_class[klass].fold_values == b.per_class[klass].fold_values
+    # one candidate, or none, needs no pool at all
+    assert len(tr.run_dse(ds, candidates[:1], _quick_cfg(), dse_cfg, jobs=8)) == 1
+    assert tr.run_dse(ds, [], _quick_cfg(), dse_cfg, jobs=8) == []
+    assert pools == [2]
+
+
 def _fake_result(topology, rf, cs_mean, cs_ci_low, complexity_override=None):
     per = {k: tr.ClassStats(0.95, 0.01, 0.93, 0.97, [0.95]) for k in SpikeClass}
     per[SpikeClass.CS] = tr.ClassStats(cs_mean, 0.01, cs_ci_low, cs_mean + 0.02, [cs_mean])
@@ -753,3 +788,8 @@ def test_config_validation():
         tr.DseConfig(max_hidden_layers=3)  # default ranges cover 4
     with pytest.raises(ValidationError):
         tr.DseConfig(confidence=1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            tr.DseConfig(cs_floor=bad)
+        with pytest.raises(ValidationError, match="finite"):
+            tr.DseConfig(ortho_lambdas=(0.01, bad))
