@@ -20,20 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PostprocConfig
 from .errors import ValidationError
 from .nn import NUM_CLASSES, SpikeClass
-
-
-@dataclass(frozen=True)
-class PostprocConfig:
-    # After every retained SS event, all events closer than this are
-    # physiologically implausible echoes and are discarded.  Zones are
-    # opened by retained SS events only; CS events never open one.
-    dead_zone_ms: float = 4.0
-
-    def __post_init__(self):
-        if not (self.dead_zone_ms >= 0 and math.isfinite(self.dead_zone_ms)):
-            raise ValidationError("dead_zone_ms must be non-negative and finite")
 
 
 @dataclass

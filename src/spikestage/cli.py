@@ -14,10 +14,11 @@ model, event log) can be produced, inspected, and fed forward on its own:
     metrics        score an event log against annotations
     report         storage and power budget for a deployment
 
-Optional JSON config file (--config) with one object per section; unknown
-sections or keys are rejected.  Exit codes: 0 success, 1 invalid arguments
-or config, 2 malformed or unreadable file, 3 no feasible result.  JSON on
-stdout is strict: a result holding NaN or an infinity exits 1 unprinted.
+Every subcommand takes an optional JSON config file (--config), which main
+reads once, before the command runs; spikestage.config holds its format and
+rules.  Exit codes: 0 success, 1 invalid arguments or config, 2 malformed or
+unreadable file, 3 no feasible result.  JSON on stdout is strict: a result
+holding NaN or an infinity exits 1 unprinted.
 """
 
 from __future__ import annotations
@@ -26,102 +27,12 @@ import argparse
 import dataclasses
 import json
 import sys
-import typing
 
 import numpy as np
 
 from . import analysis, detector, nn, pipeline, signal, store, train
+from .config import config_help, load_config
 from .errors import FormatError, InfeasibleError, SpikestageError, ValidationError
-
-
-@dataclasses.dataclass
-class AppConfig:
-    recording: signal.RecordingConfig
-    synthesis: signal.SynthesisParams
-    detector: detector.DetectorConfig
-    train: train.TrainConfig
-    dse: train.DseConfig
-    resources: store.ResourceModel
-    postprocess: analysis.PostprocConfig
-
-
-# config section name -> its dataclass, in AppConfig field order
-_SECTIONS = typing.get_type_hints(AppConfig)
-
-
-def _build_section(name: str, cls, doc: dict):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ValidationError(f"config section '{name}' has unknown keys: {sorted(unknown)}")
-    # a conversion or a __post_init__ comparison can still fail on a bad value
-    try:
-        if name == "dse":
-            if "hidden_ranges" in doc:
-                doc = dict(doc, hidden_ranges=tuple(tuple(r) for r in doc["hidden_ranges"]))
-                for r in doc["hidden_ranges"]:
-                    if len(r) != 2:
-                        raise ValidationError(
-                            "config section 'dse' key 'hidden_ranges' needs [lo, hi] pairs"
-                        )
-                    for v in r:
-                        _check_type(name, "hidden_ranges", v, int)
-            if "ortho_lambdas" in doc:
-                doc = dict(doc, ortho_lambdas=tuple(doc["ortho_lambdas"]))
-                for v in doc["ortho_lambdas"]:
-                    _check_type(name, "ortho_lambdas", v, float)
-        for key, value in doc.items():
-            _check_type(name, key, value, typing.get_type_hints(cls)[key])
-        return cls(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config section '{name}' has a malformed value ({exc})") from exc
-
-
-def _check_type(section: str, key: str, value, hint) -> None:
-    """A config value must have its field's declared type.
-
-    An integer is accepted where a float is declared; true/false are not
-    accepted as numbers.
-    """
-    allowed = typing.get_args(hint) or (hint,)
-    if float in allowed:
-        allowed += (int,)
-    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-        raise ValidationError(
-            f"config section '{section}' key '{key}' must be {names}, not {type(value).__name__}"
-        )
-
-
-def load_config(path=None) -> AppConfig:
-    doc = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValidationError(f"{path}: config is not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: config root must be a JSON object")
-    unknown = set(doc) - set(_SECTIONS)
-    if unknown:
-        raise ValidationError(f"config has unknown sections: {sorted(unknown)}")
-    sections = {}
-    for name, cls in _SECTIONS.items():
-        body = doc.get(name, {})
-        if not isinstance(body, dict):
-            raise ValidationError(f"config section '{name}' must be a JSON object")
-        sections[name] = _build_section(name, cls, body)
-    return AppConfig(**sections)
-
-
-def _config_help() -> str:
-    lines = ["config file sections and defaults (JSON, all optional):"]
-    for name, cls in _SECTIONS.items():
-        lines.append(f"  {name}:")
-        for f in dataclasses.fields(cls):
-            lines.append(f"    {f.name} = {f.default!r}")
-    return "\n".join(lines)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,8 +83,7 @@ def _load_quantized(path) -> nn.QuantizedMlpModel:
 # Subcommands
 
 
-def cmd_generate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_generate(args, cfg) -> int:
     rec_cfg = cfg.recording
     if args.duration_s is not None:
         rec_cfg = dataclasses.replace(rec_cfg, duration_s=args.duration_s)
@@ -196,8 +106,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_detect(args) -> int:
-    cfg = load_config(args.config)
+def cmd_detect(args, cfg) -> int:
     samples, rec_cfg = signal.read_recording(args.infile)
     trace = detector.detector_trace(samples, cfg.detector)
     candidates = detector.detection_candidates(trace)
@@ -216,8 +125,7 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_build_dataset(args) -> int:
-    cfg = load_config(args.config)
+def cmd_build_dataset(args, cfg) -> int:
     samples, rec_cfg = signal.read_recording(args.infile)
     annotations = signal.read_annotations(args.annotations)
     dataset = train.build_dataset(
@@ -234,8 +142,7 @@ def cmd_build_dataset(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+def cmd_train(args, cfg) -> int:
     tcfg = cfg.train
     if args.ortho_lambda is not None:
         tcfg = dataclasses.replace(tcfg, ortho_lambda=args.ortho_lambda)
@@ -261,7 +168,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_quantize(args) -> int:
+def cmd_quantize(args, cfg) -> int:
     model = nn.load_model(args.model)
     if isinstance(model, nn.QuantizedMlpModel):
         raise ValidationError(f"{args.model}: model is already quantized")
@@ -284,8 +191,7 @@ def cmd_quantize(args) -> int:
     return 0
 
 
-def cmd_dse(args) -> int:
-    cfg = load_config(args.config)
+def cmd_dse(args, cfg) -> int:
     dataset = train.load_dataset(args.dataset)
     if args.grid == "table3":
         candidates = list(train.TABLE3_GRID)
@@ -344,8 +250,7 @@ def cmd_dse(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
+def cmd_run(args, cfg) -> int:
     samples, rec_cfg = signal.read_recording(args.infile)
     model = _load_quantized(args.model)
     options = pipeline.PipelineOptions(
@@ -365,8 +270,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_postprocess(args) -> int:
-    cfg = load_config(args.config)
+def cmd_postprocess(args, cfg) -> int:
     events, rate = store.read_event_log(args.infile)
     kept = analysis.apply_dead_zone(events, cfg.postprocess, rate)
     store.write_event_log(args.out, kept, rate)
@@ -381,7 +285,7 @@ def cmd_postprocess(args) -> int:
     return 0
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args, cfg) -> int:
     events, rate = store.read_event_log(args.events)
     annotations = signal.read_annotations(args.annotations)
     cm = analysis.match_events(events, annotations, rate, tolerance_ms=args.tolerance_ms)
@@ -389,8 +293,7 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    cfg = load_config(args.config)
+def cmd_report(args, cfg) -> int:
     model = cfg.resources
     duration_s = args.duration_s
     breakdown = store.power_breakdown(model)
@@ -425,7 +328,7 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="spike-pipeline",
         description="Spike detection, classification, and storage pipeline tools.",
-        epilog=_config_help(),
+        epilog=config_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -518,7 +421,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)

@@ -23,43 +23,12 @@ threshold_update, tick by tick until it latches.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    alpha_signal: float = 0.5  # IIR coefficient on the raw samples
-    alpha_neo: float = 0.125  # IIR coefficient on the energy stream
-    threshold_gain: float = 8.0  # threshold = gain * mean energy
-    alpha_threshold: float = 1.0 / 1024.0  # EMA coefficient of the mean
-    convergence_epsilon: float = 0.01  # relative threshold change per tick
-    convergence_window: int = 4096  # consecutive quiet ticks required
-    # Energy values feeding the mean are clipped at this multiple of the
-    # current mean; spikes then perturb the EMA by at most a factor
-    # (1 + alpha * (ratio - 1)) per tick and convergence stays reachable on
-    # spiking inputs.  Set to None to disable clipping.
-    neo_clip_ratio: float | None = 3.0
-
-    def __post_init__(self):
-        for name in ("alpha_signal", "alpha_neo", "alpha_threshold"):
-            a = getattr(self, name)
-            if not 0.0 < a <= 1.0:
-                raise ValidationError(f"{name} must be in (0, 1]")
-        for name in ("threshold_gain", "convergence_epsilon"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be positive and finite")
-        if self.convergence_window < 1:
-            raise ValidationError("convergence_window must be at least 1")
-        ratio = self.neo_clip_ratio
-        if ratio is not None and not (ratio > 1.0 and math.isfinite(ratio)):
-            raise ValidationError("neo_clip_ratio must exceed 1 and be finite")
+from .config import DetectorConfig
 
 
 @dataclass

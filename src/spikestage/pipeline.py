@@ -35,6 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import detector as det
+from .config import DetectorConfig
 from .errors import FormatError, ValidationError
 from .nn import (
     ACT_QMAX,
@@ -111,12 +112,12 @@ class Pipeline:
     def __init__(
         self,
         model: QuantizedMlpModel,
-        det_cfg: det.DetectorConfig | None = None,
+        det_cfg: DetectorConfig | None = None,
         options: PipelineOptions | None = None,
     ):
         _check_width(model)
         self.model = model
-        self.det_cfg = det_cfg or det.DetectorConfig()
+        self.det_cfg = det_cfg or DetectorConfig()
         self.options = options or PipelineOptions()
         self.detector = det.DetectorState()
         self.fsm = FsmState.INIT
@@ -223,7 +224,7 @@ def _capture_path(samples, det_cfg, options):
     state machine busy (40 capture + classify_ticks + 1 ticks); its capture
     is complete when the samples t+1..t+40 lie inside the stream.
     """
-    trace = det.detector_trace(samples, det_cfg or det.DetectorConfig())
+    trace = det.detector_trace(samples, det_cfg or DetectorConfig())
     busy = WAVEFORM_SAMPLES + options.classify_ticks + 1
     honored = _honored_detections(det.detection_candidates(trace), busy)
     complete = honored[honored + WAVEFORM_SAMPLES <= len(samples) - 1]
@@ -237,7 +238,7 @@ def _gather(trace: det.DetectorTrace, ticks: np.ndarray) -> np.ndarray:
 
 def capture_detections(
     samples,
-    det_cfg: det.DetectorConfig | None = None,
+    det_cfg: DetectorConfig | None = None,
     options: PipelineOptions | None = None,
 ):
     """Detection ticks and their 40-sample capture buffers, deployment-timed.
@@ -253,7 +254,7 @@ def capture_detections(
 def run_pipeline(
     samples,
     model: QuantizedMlpModel,
-    det_cfg: det.DetectorConfig | None = None,
+    det_cfg: DetectorConfig | None = None,
     options: PipelineOptions | None = None,
 ) -> tuple[list[EventRecord], RunStats]:
     """Whole-stream equivalent of stepping a Pipeline over samples.

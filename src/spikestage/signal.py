@@ -26,11 +26,11 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import RecordingConfig, SynthesisParams
 from .errors import FormatError, ValidationError
 from .nn import SpikeClass
 
@@ -42,63 +42,6 @@ _HEADER = struct.Struct("<4sBBHd")
 class Annotation(NamedTuple):
     sample_index: int
     label: SpikeClass  # SS or CS; F never appears in ground truth
-
-
-@dataclass(frozen=True)
-class RecordingConfig:
-    sample_rate_hz: float = 24414.0
-    adc_bits: int = 10
-    duration_s: float = 60.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
-            raise ValidationError("sample_rate_hz must be positive and finite")
-        if not 2 <= self.adc_bits <= 16:
-            raise ValidationError("adc_bits must be in [2, 16]")
-        if not (self.duration_s > 0 and math.isfinite(self.duration_s)):
-            raise ValidationError("duration_s must be positive and finite")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
-
-    @property
-    def num_samples(self) -> int:
-        return int(round(self.duration_s * self.sample_rate_hz))
-
-    @property
-    def adc_min(self) -> int:
-        return -(2 ** (self.adc_bits - 1))
-
-    @property
-    def adc_max(self) -> int:
-        return 2 ** (self.adc_bits - 1) - 1
-
-
-@dataclass(frozen=True)
-class SynthesisParams:
-    ss_rate_hz: float = 90.0  # simple-spike Poisson rate
-    cs_rate_hz: float = 1.0  # complex-spike Poisson rate
-    noise_sigma: float = 10.0  # ADC counts
-    drift_amplitude: float = 20.0  # ADC counts, sinusoid peak and walk span
-    drift_period_s: float = 5.0
-    offset: float = 0.0  # constant baseline, ADC counts
-    saturation_prob: float = 1e-4  # per-sample chance a rail-pinned run starts
-    min_interval_ms: float = 4.0  # enforced across both spike classes
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):  # NaN passes every comparison below
-                raise ValidationError(f"{name} must be finite")
-        if min(self.ss_rate_hz, self.cs_rate_hz) < 0:
-            raise ValidationError("spike rates must be non-negative")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be non-negative")
-        if self.drift_period_s <= 0:
-            raise ValidationError("drift_period_s must be positive")
-        if not 0 <= self.saturation_prob < 1:
-            raise ValidationError("saturation_prob must be in [0, 1)")
-        if self.min_interval_ms <= 0:
-            raise ValidationError("min_interval_ms must be positive")
 
 
 # Spike templates as sums of Gaussian lobes.  Each row is (sign * relative

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import ResourceModel
 from .errors import FormatError, ValidationError
 from .nn import SpikeClass
 
@@ -108,52 +108,6 @@ def read_event_log(path) -> tuple[list[EventRecord], float]:
     if not _increasing(words & MAX_TIMESTAMP):
         raise FormatError(f"{path}: event timestamps are not strictly increasing")
     return unpack_words(words), float(rate)
-
-
-@dataclass(frozen=True)
-class ResourceModel:
-    """Published energy figures and deployment constants.
-
-    Energies are per operation; the detector figure is one full
-    detection cycle.  The battery voltage is an assumption (the cell
-    chemistry is not part of the published figures) and is echoed in
-    every report that uses it.
-    """
-
-    e_detect_nj: float = 4.46  # one detection cycle
-    e_classify_nj: float = 311.0  # one classification
-    e_store_nj: float = 0.28  # one stored event
-    e_adc_pj: float = 0.5  # one ADC conversion
-    sample_rate_hz: float = 24414.0
-    spike_rate_hz: float = 100.0  # sustained event rate for sizing
-    battery_capacity_mah: float = 12.0
-    battery_voltage_v: float = 1.5  # assumed cell voltage
-    storage_capacity_bytes: int = 32 * 2**20
-    record_bytes: int = RECORD_BYTES
-    # "per_sample" charges one detection cycle per ADC sample, matching the
-    # always-on front end; "per_event" charges it once per detected spike.
-    detector_energy_basis: str = "per_sample"
-
-    def __post_init__(self):
-        if self.detector_energy_basis not in ("per_sample", "per_event"):
-            raise ValidationError(
-                f"unknown detector_energy_basis {self.detector_energy_basis!r}"
-            )
-        for name in (
-            "e_detect_nj",
-            "e_classify_nj",
-            "e_store_nj",
-            "e_adc_pj",
-            "sample_rate_hz",
-            "spike_rate_hz",
-            "battery_capacity_mah",
-            "battery_voltage_v",
-        ):
-            value = getattr(self, name)
-            if not (value >= 0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be non-negative and finite")
-        if self.spike_rate_hz == 0:  # the storage capacity is spread over this rate
-            raise ValidationError("spike_rate_hz must be positive")
 
 
 def storage_required(duration_s: float, spike_rate_hz: float, record_bytes: int = RECORD_BYTES) -> int:

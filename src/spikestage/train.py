@@ -30,7 +30,7 @@ from scipy.stats import norm
 
 from . import pipeline as pl
 from .analysis import ConfusionMatrix, accuracy
-from .detector import DetectorConfig
+from .config import DetectorConfig, DseConfig, TrainConfig
 from .errors import FormatError, ValidationError
 from .nn import (
     NUM_CLASSES,
@@ -85,55 +85,6 @@ class Dataset:
         classes = tuple(SpikeClass)
         for waveform, label, tick in zip(self.waveforms, self.labels.tolist(), self.ticks.tolist()):
             yield LabeledWaveform(waveform, classes[label], tick)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 100
-    patience: int = 10  # epochs without validation improvement
-    val_fraction: float = 0.10  # held out of the training set for early stopping
-    test_fraction: float = 0.20  # final train/test split
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    ortho_lambda: float = 0.01  # orthogonality regularization factor
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.patience < 1 or self.batch_size < 1:
-            raise ValidationError("epochs, patience, and batch_size must be positive")
-        if not 0.0 <= self.val_fraction < 1.0 or not 0.0 <= self.test_fraction < 1.0:
-            raise ValidationError("fractions must be in [0, 1)")
-        for name in ("learning_rate", "beta1", "beta2", "adam_epsilon", "ortho_lambda"):
-            if not math.isfinite(getattr(self, name)):  # NaN passes every comparison below
-                raise ValidationError(f"{name} must be finite")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
-        if self.ortho_lambda < 0:
-            raise ValidationError("ortho_lambda must be non-negative")
-
-
-@dataclass(frozen=True)
-class DseConfig:
-    max_hidden_layers: int = 4
-    hidden_ranges: tuple = ((1, 40), (1, 20), (1, 10), (1, 10))
-    descending_sizes: bool = True  # hidden sizes must be non-increasing
-    folds: int = 10
-    cs_floor: float = 0.90  # CS accuracy CI lower bound must exceed this
-    confidence: float = 0.95
-    ortho_lambdas: tuple = (0.01, 0.001)
-
-    def __post_init__(self):
-        if self.max_hidden_layers != len(self.hidden_ranges):
-            raise ValidationError("hidden_ranges must cover max_hidden_layers entries")
-        if self.folds < 2:
-            raise ValidationError("folds must be at least 2")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValidationError("confidence must be in (0, 1)")
-        # a NaN floor rejects every candidate, so the search would end "infeasible"
-        if not all(map(math.isfinite, (self.cs_floor, *self.ortho_lambdas))):
-            raise ValidationError("cs_floor and ortho_lambdas must be finite")
 
 
 # Training runs with inputs scaled from int8 capture codes into [-1, 1).
@@ -687,7 +638,7 @@ def full_grid(cfg: DseConfig):
     """Yield every (topology, ortho_lambda) pair allowed by the ranges."""
 
     def hidden_layers(depth: int, prev: int, chosen: tuple):
-        if depth == cfg.max_hidden_layers:
+        if depth == len(cfg.hidden_ranges):
             return
         lo, hi = cfg.hidden_ranges[depth]
         cap = min(hi, prev) if cfg.descending_sizes else hi

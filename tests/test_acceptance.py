@@ -21,6 +21,14 @@ from spikestage import pipeline as pl
 from spikestage import signal
 from spikestage import store
 from spikestage import train as tr
+from spikestage.config import (
+    DetectorConfig,
+    PostprocConfig,
+    RecordingConfig,
+    ResourceModel,
+    SynthesisParams,
+    TrainConfig,
+)
 from spikestage.nn import SpikeClass
 
 
@@ -34,18 +42,18 @@ def _report(capsys, label, ok, detail):
 def chain600():
     """Ten-minute recording, full train + quantize + deploy chain, timed."""
     t0 = time.perf_counter()
-    rec_cfg = signal.RecordingConfig(duration_s=600.0, seed=7)
-    samples, annotations = signal.generate_recording(rec_cfg, signal.SynthesisParams())
+    rec_cfg = RecordingConfig(duration_s=600.0, seed=7)
+    samples, annotations = signal.generate_recording(rec_cfg, SynthesisParams())
     samples_f = samples.astype(np.float64)
     dataset = tr.build_dataset(samples_f, annotations, rec_cfg.sample_rate_hz)
     train_part, test_part = tr.train_test_split(dataset, 0.20, seed=1)
     processed = tr.filter_outliers(tr.balance_classes(train_part, seed=1))
     model, _ = tr.train_mlp(
-        processed, (40, 16, 7, 5, 4, 3), tr.TrainConfig(ortho_lambda=0.01), seed=1
+        processed, (40, 16, 7, 5, 4, 3), TrainConfig(ortho_lambda=0.01), seed=1
     )
     qmodel = nn.quantize(model, tr.dataset_arrays(processed)[0])
     events, stats = pl.run_pipeline(samples_f, qmodel)
-    kept = an.apply_dead_zone(events, an.PostprocConfig(), rec_cfg.sample_rate_hz)
+    kept = an.apply_dead_zone(events, PostprocConfig(), rec_cfg.sample_rate_hz)
     post_ann = [a for a in annotations if a.sample_index > stats.converged_tick]
     cm = an.match_events(kept, post_ann, rec_cfg.sample_rate_hz, tolerance_ms=1.0)
     elapsed = time.perf_counter() - t0
@@ -144,7 +152,7 @@ def test_04_quantization_agreement(capsys, chain600):
 
 def test_05_energy_operator_equivalence(capsys):
     rng = np.random.default_rng(55)
-    cfg = det.DetectorConfig(alpha_signal=1.0)  # identity smoothing exposes raw NEO
+    cfg = DetectorConfig(alpha_signal=1.0)  # identity smoothing exposes raw NEO
     worst = 0.0
     for _ in range(1000):
         x = rng.normal(0.0, 50.0, size=64)
@@ -159,8 +167,8 @@ def test_05_energy_operator_equivalence(capsys):
 
     s = 7.3
     noise = rng.normal(0.0, 10.0, size=30_000)
-    t1 = det.detector_trace(noise, det.DetectorConfig())
-    t2 = det.detector_trace(s * noise, det.DetectorConfig())
+    t1 = det.detector_trace(noise, DetectorConfig())
+    t2 = det.detector_trace(s * noise, DetectorConfig())
     neo_rel = float(
         np.max(np.abs(t2.y_neo - s * s * t1.y_neo)) / np.max(np.abs(s * s * t1.y_neo))
     )
@@ -235,8 +243,8 @@ def test_06_gradient_check(capsys):
 
 def test_07_fsm_invariants(capsys, chain600):
     qmodel = chain600["qmodel"]
-    rec_cfg = signal.RecordingConfig(duration_s=41.0, seed=99)  # just over 1e6 ticks
-    samples, _ = signal.generate_recording(rec_cfg, signal.SynthesisParams())
+    rec_cfg = RecordingConfig(duration_s=41.0, seed=99)  # just over 1e6 ticks
+    samples, _ = signal.generate_recording(rec_cfg, SynthesisParams())
     stream = samples.astype(np.float64)
     n = len(stream)
     options = pl.PipelineOptions(store_false_positives=True)
@@ -296,7 +304,7 @@ def test_07_fsm_invariants(capsys, chain600):
 def test_08_resource_model(capsys):
     required = store.storage_required(86400.0, 100.0, 4)
     capacity = 32 * 2**20
-    model = store.ResourceModel()
+    model = ResourceModel()
     power = store.power_breakdown(model)
     classifier_uw = power["classifier_w"] * 1e6
     days = store.battery_life_days(model)
@@ -330,7 +338,7 @@ def test_08_resource_model(capsys):
 
 
 def test_09_dead_zone_rules(capsys):
-    cfg = an.PostprocConfig()
+    cfg = PostprocConfig()
     fs = 24414.0
     zone = cfg.dead_zone_ms * fs / 1000.0
 

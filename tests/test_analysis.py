@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spikestage import analysis as an
 from spikestage import detector as det
+from spikestage.config import DetectorConfig, PostprocConfig
 from spikestage.errors import ValidationError
 from spikestage.nn import SpikeClass
 from spikestage.signal import Annotation
@@ -112,7 +113,7 @@ def naive_dead_zone(events, zone_ticks):
 
 
 def test_dead_zone_hand_rules():
-    cfg = an.PostprocConfig(dead_zone_ms=4.0)
+    cfg = PostprocConfig(dead_zone_ms=4.0)
     fs = 1000.0  # zone is exactly 4 ticks
 
     # half-open: exactly at the boundary survives
@@ -132,7 +133,7 @@ def test_dead_zone_hand_rules():
     assert an.apply_dead_zone(events, cfg, fs) == [ev(100), ev(105)]
 
     # zero-width zone keeps everything
-    all_kept = an.apply_dead_zone(events, an.PostprocConfig(dead_zone_ms=0.0), fs)
+    all_kept = an.apply_dead_zone(events, PostprocConfig(dead_zone_ms=0.0), fs)
     assert all_kept == events
 
     with pytest.raises(ValidationError):
@@ -142,14 +143,14 @@ def test_dead_zone_hand_rules():
     with pytest.raises(ValidationError):
         an.apply_dead_zone(events, cfg, 0.0)
     with pytest.raises(ValidationError):
-        an.PostprocConfig(dead_zone_ms=-1.0)
+        PostprocConfig(dead_zone_ms=-1.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
-            an.PostprocConfig(dead_zone_ms=bad)
+            PostprocConfig(dead_zone_ms=bad)
 
 
 def test_dead_zone_matches_naive_reference():
-    cfg = an.PostprocConfig()
+    cfg = PostprocConfig()
     zone_ticks = cfg.dead_zone_ms * FS / 1000.0
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -305,7 +306,7 @@ def test_match_events_matches_naive(ann_ticks, ev_ticks, data, rate_tol):
 def test_write_trace_csv(tmp_path):
     rng = np.random.default_rng(3)
     samples = rng.normal(0.0, 10.0, size=9000)
-    trace = det.detector_trace(samples, det.DetectorConfig())
+    trace = det.detector_trace(samples, DetectorConfig())
     events = [ev(7000, SpikeClass.CS)]
     path = tmp_path / "trace.csv"
     an.write_trace_csv(path, samples, trace, events, limit=8000)

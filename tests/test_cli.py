@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -7,8 +6,9 @@ import typing
 import numpy as np
 import pytest
 
-from spikestage import cli, nn, pipeline, signal, store
+from spikestage import cli, config, nn, pipeline, signal, store
 from spikestage import train as tr
+from spikestage.config import RecordingConfig
 from spikestage.nn import SpikeClass
 
 
@@ -337,7 +337,7 @@ def test_exit_codes(tmp_path, chain):
 def model_files(tmp_path):
     """A valid recording, float model and quantized model (40-3), as files."""
     recording = np.zeros(100, dtype=np.int16)
-    signal.write_recording(tmp_path / "r.spkr", recording, signal.RecordingConfig())
+    signal.write_recording(tmp_path / "r.spkr", recording, RecordingConfig())
     weights = np.ones((3, 40))
     nn.save_model(tmp_path / "f.json", nn.MlpModel([nn.Layer(weights, np.zeros(3), "linear")]))
     layer = nn.QuantizedLayer(
@@ -478,12 +478,13 @@ def test_non_finite_values_exit_1(capsys, model_files, value):
 
 
 # every float a config file can set in these sections; NaN passes a plain
-# range comparison, so each one needs its own finiteness check
+# range comparison, so the finiteness check must catch each one
+SECTIONS = typing.get_type_hints(config.AppConfig)
 NON_FINITE_KEYS = [
-    (section, f.name)
+    (section, name)
     for section in ("synthesis", "postprocess", "resources")
-    for f in dataclasses.fields(cli._SECTIONS[section])
-    if typing.get_type_hints(cli._SECTIONS[section])[f.name] is float
+    for name, hint in typing.get_type_hints(SECTIONS[section]).items()
+    if hint is float
 ]
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikestage import detector as det
+from spikestage.config import DetectorConfig
 from spikestage.errors import ValidationError
 
 
@@ -54,7 +55,7 @@ def test_neo_sine_identity():
 def test_streaming_neo_equals_batch():
     # alpha_signal = 1 makes the smoother an identity, exposing the raw
     # energy recurrence of detector_step
-    cfg = det.DetectorConfig(alpha_signal=1.0)
+    cfg = DetectorConfig(alpha_signal=1.0)
     rng = np.random.default_rng(2)
     for _ in range(50):
         x = rng.normal(size=200)
@@ -69,7 +70,7 @@ def test_streaming_neo_equals_batch():
 def test_trace_matches_step_loop_bitexact(recording):
     samples, _, _ = recording
     x = samples[:60000].astype(np.float64)
-    cfg = det.DetectorConfig()
+    cfg = DetectorConfig()
     trace = det.detector_trace(x, cfg)
 
     state = det.DetectorState()
@@ -151,7 +152,7 @@ def convergence_streams(draw):
 @settings(max_examples=150, deadline=None)
 @given(convergence_streams(), st.integers(1, 64), st.sampled_from([None, 3.0]))
 def test_trace_convergence_matches_oracle(stream, window, clip):
-    cfg = det.DetectorConfig(convergence_window=window, neo_clip_ratio=clip)
+    cfg = DetectorConfig(convergence_window=window, neo_clip_ratio=clip)
     trace = det.detector_trace(stream, cfg)
     assert converge_oracle(trace.y_neo, cfg) == (trace.converged_tick, trace.threshold)
     if trace.converged_tick is not None:
@@ -163,7 +164,7 @@ def test_scale_covariance(recording):
     samples, _, _ = recording
     x = samples[:40000].astype(np.float64)
     s = 7.3
-    cfg = det.DetectorConfig()
+    cfg = DetectorConfig()
     t1 = det.detector_trace(x, cfg)
     t2 = det.detector_trace(s * x, cfg)
     assert np.max(np.abs(t2.y - s * t1.y)) < 1e-9 * s * np.max(np.abs(t1.y))
@@ -175,7 +176,7 @@ def test_scale_covariance(recording):
 
 def test_constant_energy_threshold_fixed_point():
     # a constant energy stream k drives the threshold to gain * k
-    cfg = det.DetectorConfig()
+    cfg = DetectorConfig()
     state = det.DetectorState()
     k = 42.0
     state.y_neo = k
@@ -188,7 +189,7 @@ def test_constant_energy_threshold_fixed_point():
 def test_convergence_on_noise():
     rng = np.random.default_rng(3)
     x = rng.normal(0.0, 10.0, size=30000)
-    trace = det.detector_trace(x, det.DetectorConfig())
+    trace = det.detector_trace(x, DetectorConfig())
     assert trace.converged_tick is not None
     assert 4096 <= trace.converged_tick <= 20000
     assert trace.threshold > 0.0
@@ -197,7 +198,7 @@ def test_convergence_on_noise():
 def test_reconvergence_tracks_scale_change():
     # doubling the input scale quadruples the energy; once both phases have
     # settled, the re-converged threshold is within 10% of 4x the old one
-    cfg = det.DetectorConfig()
+    cfg = DetectorConfig()
     rng = np.random.default_rng(4)
     state = det.DetectorState()
     for v in rng.normal(0.0, 10.0, size=40000):
@@ -220,7 +221,7 @@ def test_reconvergence_tracks_scale_change():
 
 def test_detection_candidates_are_post_convergence(recording):
     samples, _, _ = recording
-    trace = det.detector_trace(samples[:200000].astype(np.float64), det.DetectorConfig())
+    trace = det.detector_trace(samples[:200000].astype(np.float64), DetectorConfig())
     cands = det.detection_candidates(trace)
     assert len(cands) > 0
     assert cands.min() > trace.converged_tick
@@ -228,7 +229,7 @@ def test_detection_candidates_are_post_convergence(recording):
 
 
 def test_no_candidates_without_convergence():
-    trace = det.detector_trace(np.zeros(100), det.DetectorConfig())
+    trace = det.detector_trace(np.zeros(100), DetectorConfig())
     assert trace.converged_tick is None
     assert trace.threshold == 0.0
     assert len(det.detection_candidates(trace)) == 0
@@ -236,20 +237,20 @@ def test_no_candidates_without_convergence():
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        det.DetectorConfig(alpha_signal=0.0)
+        DetectorConfig(alpha_signal=0.0)
     with pytest.raises(ValidationError):
-        det.DetectorConfig(alpha_neo=1.5)
+        DetectorConfig(alpha_neo=1.5)
     with pytest.raises(ValidationError):
-        det.DetectorConfig(threshold_gain=0.0)
+        DetectorConfig(threshold_gain=0.0)
     with pytest.raises(ValidationError):
-        det.DetectorConfig(convergence_window=0)
+        DetectorConfig(convergence_window=0)
     with pytest.raises(ValidationError):
-        det.DetectorConfig(neo_clip_ratio=1.0)
+        DetectorConfig(neo_clip_ratio=1.0)
     for bad in (math.nan, math.inf):
         for name in ("threshold_gain", "convergence_epsilon", "neo_clip_ratio", "alpha_neo"):
             with pytest.raises(ValidationError):
-                det.DetectorConfig(**{name: bad})
-    det.DetectorConfig(neo_clip_ratio=None)  # disabled is allowed
+                DetectorConfig(**{name: bad})
+    DetectorConfig(neo_clip_ratio=None)  # disabled is allowed
 
 
 @settings(max_examples=50, deadline=None)

@@ -9,6 +9,7 @@ from spikestage import detector as det
 from spikestage import nn
 from spikestage import pipeline as pl
 from spikestage import store
+from spikestage.config import DetectorConfig
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
 
@@ -19,7 +20,7 @@ def naive_quantize(y: float) -> int:
 
 def naive_fsm(samples, model, det_cfg=None, options=None):
     """Independent tick loop built straight from the detector primitives."""
-    det_cfg = det_cfg or det.DetectorConfig()
+    det_cfg = det_cfg or DetectorConfig()
     options = options or pl.PipelineOptions()
     state = det.DetectorState()
     mode = "init"
@@ -232,7 +233,7 @@ def check_capture_path(stream, det_cfg, options):
 @settings(max_examples=60, deadline=None)
 @given(pulsed_streams(), st.integers(1, 45), st.booleans())
 def test_capture_path_matches_step(stream, classify_ticks, store_false_positives):
-    det_cfg = det.DetectorConfig(convergence_window=256)
+    det_cfg = DetectorConfig(convergence_window=256)
     options = pl.PipelineOptions(classify_ticks, store_false_positives)
     ticks = check_capture_path(stream, det_cfg, options)
     if len(ticks):

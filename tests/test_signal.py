@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spikestage import signal
+from spikestage.config import RecordingConfig, SynthesisParams
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
 
@@ -65,13 +66,13 @@ def test_annotations_reject_f_label(tmp_path):
 
 
 def test_generate_deterministic():
-    cfg = signal.RecordingConfig(duration_s=2.0, seed=9)
-    a1, n1 = signal.generate_recording(cfg, signal.SynthesisParams())
-    a2, n2 = signal.generate_recording(cfg, signal.SynthesisParams())
+    cfg = RecordingConfig(duration_s=2.0, seed=9)
+    a1, n1 = signal.generate_recording(cfg, SynthesisParams())
+    a2, n2 = signal.generate_recording(cfg, SynthesisParams())
     assert np.array_equal(a1, a2)
     assert n1 == n2
     b1, _ = signal.generate_recording(
-        signal.RecordingConfig(duration_s=2.0, seed=10), signal.SynthesisParams()
+        RecordingConfig(duration_s=2.0, seed=10), SynthesisParams()
     )
     assert not np.array_equal(a1, b1)
 
@@ -121,13 +122,13 @@ def test_generate_class_mix(recording):
 
 def test_recording_config_validation():
     with pytest.raises(ValidationError):
-        signal.RecordingConfig(sample_rate_hz=-1)
+        RecordingConfig(sample_rate_hz=-1)
     with pytest.raises(ValidationError):
-        signal.RecordingConfig(adc_bits=0)
+        RecordingConfig(adc_bits=0)
     with pytest.raises(ValidationError):
-        signal.RecordingConfig(duration_s=0)
+        RecordingConfig(duration_s=0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValidationError):
-            signal.RecordingConfig(duration_s=bad)
+            RecordingConfig(duration_s=bad)
         with pytest.raises(ValidationError):
-            signal.RecordingConfig(sample_rate_hz=bad)
+            RecordingConfig(sample_rate_hz=bad)

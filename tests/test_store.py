@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikestage import store
+from spikestage.config import ResourceModel
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
 
@@ -188,7 +189,7 @@ def test_storage_required():
 
 
 def test_power_breakdown_reference_numbers():
-    model = store.ResourceModel()
+    model = ResourceModel()
     p = store.power_breakdown(model)
     assert math.isclose(p["adc_w"], 24414.0 * 0.5e-12, rel_tol=1e-12)
     assert math.isclose(p["detector_w"], 24414.0 * 4.46e-9, rel_tol=1e-12)
@@ -201,23 +202,23 @@ def test_power_breakdown_reference_numbers():
 
 
 def test_detector_energy_basis():
-    per_event = store.ResourceModel(detector_energy_basis="per_event")
+    per_event = ResourceModel(detector_energy_basis="per_event")
     p = store.power_breakdown(per_event)
     assert math.isclose(p["detector_w"], 100.0 * 4.46e-9, rel_tol=1e-12)
-    assert p["detector_w"] < store.power_breakdown(store.ResourceModel())["detector_w"]
+    assert p["detector_w"] < store.power_breakdown(ResourceModel())["detector_w"]
     with pytest.raises(ValidationError):
-        store.ResourceModel(detector_energy_basis="per_hour")
+        ResourceModel(detector_energy_basis="per_hour")
 
 
 def test_battery_life():
-    model = store.ResourceModel()
+    model = ResourceModel()
     days = store.battery_life_days(model)
     energy_j = 12.0 / 1000.0 * 3600.0 * 1.5
     expected = energy_j / store.power_breakdown(model)["total_w"] / 86400.0
     assert math.isclose(days, expected, rel_tol=1e-12)
     assert math.isclose(days, 5.356, rel_tol=1e-3)
     assert 3.0 < days < 6.0
-    dead = store.ResourceModel(
+    dead = ResourceModel(
         e_detect_nj=0.0, e_classify_nj=0.0, e_store_nj=0.0, e_adc_pj=0.0
     )
     with pytest.raises(ValidationError):
@@ -226,13 +227,14 @@ def test_battery_life():
 
 def test_resource_model_validation():
     with pytest.raises(ValidationError):
-        store.ResourceModel(e_classify_nj=-1.0)
+        ResourceModel(e_classify_nj=-1.0)
     with pytest.raises(ValidationError):
-        store.ResourceModel(battery_voltage_v=-0.1)
+        ResourceModel(battery_voltage_v=-0.1)
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError):
-            store.ResourceModel(e_adc_pj=value)
+            ResourceModel(e_adc_pj=value)
     # the report spreads the storage capacity over the spike rate
     with pytest.raises(ValidationError, match="spike_rate_hz"):
-        store.ResourceModel(spike_rate_hz=0.0)
+        ResourceModel(spike_rate_hz=0.0)
+    assert ResourceModel().record_bytes == store.RECORD_BYTES
     assert store.storage_required(3600.0, 0.0) == 0

@@ -12,6 +12,7 @@ from scipy.spatial import cKDTree
 from spikestage import nn, signal
 from spikestage import train as tr
 from spikestage.analysis import overall_accuracy
+from spikestage.config import DseConfig, TrainConfig
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
 
@@ -383,7 +384,7 @@ def test_ortho_penalty_zero_for_orthonormal_columns():
 
 def test_train_improves_and_is_deterministic():
     ds = make_cluster_dataset((20, 20, 20), seed=2)
-    cfg = tr.TrainConfig(epochs=60, patience=60, val_fraction=0.1, batch_size=16, ortho_lambda=0.001)
+    cfg = TrainConfig(epochs=60, patience=60, val_fraction=0.1, batch_size=16, ortho_lambda=0.001)
     model1, log1 = tr.train_mlp(ds, (40, 6, 3), cfg, seed=7)
     assert log1.entries[-1]["train_loss"] < log1.entries[0]["train_loss"]
     assert [e["epoch"] for e in log1.entries] == list(range(len(log1.entries)))
@@ -409,7 +410,7 @@ def test_train_stops_early_on_noise():
         waveforms.append(rng.integers(-100, 100, size=40))
         labels.append(int(rng.integers(0, 3)))
     ds = tr.Dataset(np.array(waveforms), labels, np.arange(60))
-    cfg = tr.TrainConfig(epochs=400, patience=5, val_fraction=0.2, batch_size=16, learning_rate=3e-3)
+    cfg = TrainConfig(epochs=400, patience=5, val_fraction=0.2, batch_size=16, learning_rate=3e-3)
     _, log = tr.train_mlp(ds, (40, 8, 3), cfg, seed=0)
     assert log.stopped_early
     assert len(log.entries) == log.best_epoch + cfg.patience + 1
@@ -460,7 +461,7 @@ def training_digest() -> str:
     for topology in ((40, 6, 3), (40, 5, 4, 3)):
         for lam in (0.01, 0.0):
             for val_fraction in (0.15, 0.0):
-                cfg = tr.TrainConfig(
+                cfg = TrainConfig(
                     epochs=25, patience=3, val_fraction=val_fraction, batch_size=16,
                     learning_rate=3e-2, ortho_lambda=lam,
                 )
@@ -625,7 +626,7 @@ def test_complexity_validation():
 def _quick_cfg(**kw):
     base = dict(epochs=3, patience=3, val_fraction=0.1, batch_size=16, ortho_lambda=0.01)
     base.update(kw)
-    return tr.TrainConfig(**base)
+    return TrainConfig(**base)
 
 
 def test_cross_validate_deterministic_and_consistent():
@@ -649,7 +650,7 @@ def test_cross_validate_deterministic_and_consistent():
 def test_run_dse_parallel_matches_serial():
     ds = make_cluster_dataset((20, 20, 20), seed=6)
     candidates = [((40, 2, 3), 0.01), ((40, 4, 3), 0.001)]
-    dse_cfg = tr.DseConfig(folds=2)
+    dse_cfg = DseConfig(folds=2)
     serial = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=1)
     parallel = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=2)
     assert len(serial) == len(parallel) == 2
@@ -682,7 +683,7 @@ def test_run_dse_caps_workers_at_candidates(monkeypatch):
     monkeypatch.setattr(tr, "ProcessPoolExecutor", SerialPool)
     ds = make_cluster_dataset((20, 20, 20), seed=6)
     candidates = [((40, 2, 3), 0.01), ((40, 4, 3), 0.001)]
-    dse_cfg = tr.DseConfig(folds=2)
+    dse_cfg = DseConfig(folds=2)
     capped = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=100_000)
     assert pools == [2]
     serial = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=1)
@@ -736,8 +737,7 @@ def test_dse_select_tie_breaking():
 
 
 def test_full_grid_enumeration():
-    cfg = tr.DseConfig(
-        max_hidden_layers=2,
+    cfg = DseConfig(
         hidden_ranges=((1, 3), (1, 2)),
         ortho_lambdas=(0.01,),
     )
@@ -755,8 +755,7 @@ def test_full_grid_enumeration():
     }
     assert grid == {(t, 0.01) for t in expected_topologies}
 
-    free = tr.DseConfig(
-        max_hidden_layers=2,
+    free = DseConfig(
         hidden_ranges=((1, 1), (1, 2)),
         descending_sizes=False,
         ortho_lambdas=(0.01,),
@@ -771,25 +770,23 @@ def test_full_grid_enumeration():
 
 def test_config_validation():
     with pytest.raises(ValidationError):
-        tr.TrainConfig(epochs=0)
+        TrainConfig(epochs=0)
     with pytest.raises(ValidationError):
-        tr.TrainConfig(val_fraction=1.0)
+        TrainConfig(val_fraction=1.0)
     with pytest.raises(ValidationError):
-        tr.TrainConfig(learning_rate=0.0)
+        TrainConfig(learning_rate=0.0)
     with pytest.raises(ValidationError):
-        tr.TrainConfig(ortho_lambda=-0.1)
+        TrainConfig(ortho_lambda=-0.1)
     for bad in (math.nan, math.inf):
         for name in ("learning_rate", "beta1", "beta2", "adam_epsilon", "ortho_lambda"):
             with pytest.raises(ValidationError):
-                tr.TrainConfig(**{name: bad})
+                TrainConfig(**{name: bad})
     with pytest.raises(ValidationError):
-        tr.DseConfig(folds=1)
+        DseConfig(folds=1)
     with pytest.raises(ValidationError):
-        tr.DseConfig(max_hidden_layers=3)  # default ranges cover 4
-    with pytest.raises(ValidationError):
-        tr.DseConfig(confidence=1.0)
+        DseConfig(confidence=1.0)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="finite"):
-            tr.DseConfig(cs_floor=bad)
+            DseConfig(cs_floor=bad)
         with pytest.raises(ValidationError, match="finite"):
-            tr.DseConfig(ortho_lambdas=(0.01, bad))
+            DseConfig(ortho_lambdas=(0.01, bad))
