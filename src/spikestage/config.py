@@ -10,12 +10,19 @@ object per section, all optional; unknown sections or keys are rejected.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import typing
 from dataclasses import dataclass
 
 from .errors import ValidationError
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Each field's declared type; resolving the annotations costs far more than a check."""
+    return typing.get_type_hints(cls)
 
 
 def _check_fields(section) -> None:
@@ -26,7 +33,7 @@ def _check_fields(section) -> None:
     the same rule.  Every section calls this first, so its own range rules
     compare plain numbers (NaN is gone by then).
     """
-    for name, hint in typing.get_type_hints(type(section)).items():
+    for name, hint in _field_types(type(section)).items():
         _check_value(name, getattr(section, name), hint)
 
 
@@ -205,7 +212,7 @@ class ResourceModel:
         _check_fields(self)
         if self.detector_energy_basis not in ("per_sample", "per_event"):
             raise ValidationError(f"unknown detector_energy_basis {self.detector_energy_basis!r}")
-        for name, hint in typing.get_type_hints(ResourceModel).items():
+        for name, hint in _field_types(ResourceModel).items():
             if hint is float and getattr(self, name) < 0:  # every energy, rate and battery figure
                 raise ValidationError(f"{name} must be non-negative")
         if self.spike_rate_hz == 0:  # the storage capacity is spread over this rate

@@ -13,6 +13,7 @@ and the final layer returns dequantized logits instead of requantizing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -105,8 +106,9 @@ class QuantizedLayer:
             raise ValidationError("quantized layer shapes are inconsistent")
         if self.activation not in ("relu", "linear"):
             raise ValidationError(f"unknown activation {self.activation!r}")
-        if min(self.input_scale, self.weight_scale, self.output_scale) <= 0:
-            raise ValidationError("scales must be positive")
+        scales = (self.input_scale, self.weight_scale, self.output_scale)
+        if not all(0 < s < math.inf for s in scales):  # NaN fails too
+            raise ValidationError("scales must be positive and finite")
 
 
 @dataclass
@@ -257,6 +259,36 @@ def save_model(path, model: MlpModel | QuantizedMlpModel) -> None:
         fh.write("\n")
 
 
+def _json_number(value, name: str) -> float:
+    """A JSON number (an integer or a float; a bool or a string is not one)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number")
+    return float(value)
+
+
+def _json_numbers(value, name: str, int_range: tuple[int, int] | None = None) -> np.ndarray:
+    """A nested list of JSON numbers as an array, refusing what a cast would change.
+
+    With `int_range` (lo, hi) every entry must be an integer in it and the
+    array is int64; otherwise entries are integers or finite floats and the
+    array is float64.  A bool or a string is never a number.
+    """
+    flat = np.array(value, dtype=object).ravel().tolist()
+    if int_range is not None:
+        lo, hi = int_range
+        if not all(type(v) is int for v in flat):
+            raise ValueError(f"{name} must be integers")
+        if flat and (min(flat) < lo or max(flat) > hi):
+            raise ValueError(f"{name} must be in [{lo}, {hi}]")
+        return np.array(value, dtype=np.int64)
+    if not all(type(v) in (int, float) for v in flat):
+        raise ValueError(f"{name} must be numbers")
+    array = np.array(value, dtype=np.float64)
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} must be finite")
+    return array
+
+
 def load_model(path) -> MlpModel | QuantizedMlpModel:
     """Read a model written by save_model, validating shape and ranges."""
     try:
@@ -275,30 +307,25 @@ def load_model(path) -> MlpModel | QuantizedMlpModel:
             model = MlpModel(
                 [
                     Layer(
-                        weights=np.array(entry["weights"], dtype=np.float64),
-                        biases=np.array(entry["biases"], dtype=np.float64),
+                        weights=_json_numbers(entry["weights"], "weights"),
+                        biases=_json_numbers(entry["biases"], "biases"),
                         activation=entry["activation"],
                     )
                     for entry in doc["layers"]
                 ]
             )
         elif doc["kind"] == "quant":
-            for entry in doc["layers"]:
-                q = np.array(entry["q_weights"])
-                if q.size and (q.min() < -128 or q.max() > 127):
-                    raise FormatError(f"{path}: quantized weights out of int8 range")
-                b = np.array(entry["q_biases"], dtype=np.int64)
-                if b.size and (b.min() < INT32_MIN or b.max() > INT32_MAX):
-                    raise FormatError(f"{path}: quantized biases out of int32 range")
             model = QuantizedMlpModel(
                 [
                     QuantizedLayer(
-                        q_weights=np.array(entry["q_weights"], dtype=np.int8),
-                        q_biases=np.array(entry["q_biases"], dtype=np.int64).astype(np.int32),
+                        q_weights=_json_numbers(entry["q_weights"], "q_weights", (-128, 127)),
+                        q_biases=_json_numbers(
+                            entry["q_biases"], "q_biases", (INT32_MIN, INT32_MAX)
+                        ),
                         activation=entry["activation"],
-                        input_scale=float(entry["input_scale"]),
-                        weight_scale=float(entry["weight_scale"]),
-                        output_scale=float(entry["output_scale"]),
+                        input_scale=_json_number(entry["input_scale"], "input_scale"),
+                        weight_scale=_json_number(entry["weight_scale"], "weight_scale"),
+                        output_scale=_json_number(entry["output_scale"], "output_scale"),
                     )
                     for entry in doc["layers"]
                 ]

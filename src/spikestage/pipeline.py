@@ -315,5 +315,9 @@ def read_events_csv(path) -> list[EventRecord]:
         for row in reader:
             if len(row) != 2 or row[1] not in SpikeClass.__members__:
                 raise FormatError(f"{path}: malformed row {row!r}")
-            events.append(EventRecord(int(row[0]), SpikeClass[row[1]]))
+            try:
+                timestamp = int(row[0])
+            except ValueError as exc:
+                raise FormatError(f"{path}: bad timestamp {row[0]!r}") from exc
+            events.append(EventRecord(timestamp, SpikeClass[row[1]]))
     return events

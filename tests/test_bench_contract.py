@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spikestage import analysis, nn, pipeline, signal, store, train
+from spikestage import analysis, config, nn, pipeline, signal, store, train
 from spikestage.nn import SpikeClass
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -34,6 +34,15 @@ def test_span_targets_resolve():
     assert spans.TARGETS
     for module, attr, _, _ in spans.TARGETS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_config_names_are_the_config_classes():
+    # the workers build sections through these module paths
+    assert signal.RecordingConfig is config.RecordingConfig
+    assert signal.SynthesisParams is config.SynthesisParams
+    assert train.TrainConfig is config.TrainConfig
+    assert train.DseConfig is config.DseConfig
+    assert analysis.PostprocConfig is config.PostprocConfig
 
 
 def test_pipeline_oracle_interface():

@@ -270,12 +270,16 @@ def test_report_subcommand():
 
 def test_light_modules_import_without_scipy():
     # the package has no re-export layer, so these modules pull in only what they use
-    modules = ("errors", "nn", "store", "signal", "analysis")
-    code = "import sys\n" + "".join(f"import spikestage.{m}\n" for m in modules)
-    code += "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    def imported(modules, packages):
+        code = "import sys\n" + "".join(f"import spikestage.{m}\n" for m in modules)
+        code += f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    assert imported(("errors", "config", "nn", "store", "signal", "analysis"), ("scipy",)) == "[]"
+    # reading a config costs no numerical import at all
+    assert imported(("config",), ("numpy", "scipy")) == "[]"
     assert run_cli("report").returncode == 0
 
 
@@ -373,6 +377,15 @@ def main_exit(capsys, *args, blame=""):
         ("q", "q_weights", [["abc"] * 40] * 3),
         ("f", "weights", [["abc"] * 40] * 3),
         ("q", "q_biases", [2**70, 0, 0]),
+        ("q", "q_weights", [[1.5] * 40] * 3),
+        ("q", "q_weights", [[True] * 40] * 3),
+        ("q", "q_biases", [2.7, 0, 0]),
+        ("q", "weight_scale", "0.5"),
+        ("q", "weight_scale", float("nan")),
+        ("q", "output_scale", float("inf")),
+        ("f", "weights", [["2.5"] * 40] * 3),
+        ("f", "weights", [[float("nan")] * 40] * 3),
+        ("f", "biases", [0, True, 0]),
     ],
 )
 def test_malformed_model_exits_2(capsys, model_files, kind, key, value):
@@ -552,6 +565,27 @@ def test_config_value_types(capsys, tmp_path):
     path.write_text(json.dumps({"train": {"batch_size": 2.5}}))
     train = ("train", "--dataset", ds, "--topology", "40,3", "--out", tmp_path / "m.json")
     assert main_exit(capsys, *train, "--config", path, blame="'train'") == 1
+
+
+def test_every_command_reads_its_config(capsys, model_files):
+    # main loads --config before any command runs, including those that use no section
+    root = model_files
+    cfg = root / "c.json"
+    cfg.write_text(json.dumps({"nope": 1}))
+    tr.save_dataset(root / "ds.jsonl", _cluster_dataset())
+    store.write_event_log(root / "e.spkevt", [store.EventRecord(100, SpikeClass.SS)], 24414.0)
+    signal.write_annotations(root / "a.csv", [signal.Annotation(100, SpikeClass.SS)])
+    out = root / "out.json"
+    quantize = ("quantize", "--model", root / "f.json", "--calib", root / "ds.jsonl", "--out", out)
+    metrics = ("metrics", "--events", root / "e.spkevt", "--annotations", root / "a.csv")
+    for args in (quantize, metrics):
+        assert cli.main([str(a) for a in (*args, "--config", cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and "unknown sections" in captured.err
+    # without the config both run, so the refusals above came from the config alone
+    assert main_exit(capsys, *quantize) == 0 and out.exists()
+    assert main_exit(capsys, *metrics) == 0
 
 
 def test_config_override(chain, tmp_path):

@@ -212,6 +212,34 @@ def test_load_rejects_malformed(tmp_path):
     with pytest.raises(FormatError):
         nn.load_model(path)
 
+    # numbers a cast would silently change: each must be refused, not truncated
+    layer = {"activation": "linear", "input_scale": 1.0, "weight_scale": 0.5, "output_scale": 1.0}
+    quant = dict(layer, q_weights=[[1] * 6] * 3, q_biases=[0, 0, 0])
+    flt = {"activation": "linear", "weights": [[0.5] * 6] * 3, "biases": [0.0] * 3}
+    for entry in (quant, flt):
+        kind = "quant" if entry is quant else "float"
+        path.write_text(json.dumps({"version": 1, "kind": kind, "topology": [6, 3], "layers": [entry]}))
+        assert nn.load_model(path).topology == [6, 3]
+    for kind, entry in (
+        ("quant", dict(quant, q_weights=[[1.5] * 6] * 3)),
+        ("quant", dict(quant, q_weights=[[True] * 6] * 3)),
+        ("quant", dict(quant, q_weights=[[128] * 6] * 3)),
+        ("quant", dict(quant, q_biases=[2.7, 0, 0])),
+        ("quant", dict(quant, weight_scale="0.5")),
+        ("quant", dict(quant, weight_scale=float("nan"))),
+        ("quant", dict(quant, input_scale=[1.0])),
+        ("float", dict(flt, weights=[["2.5"] * 6] * 3)),
+        ("float", dict(flt, weights=[[float("nan")] * 6] * 3)),
+        ("float", dict(flt, biases=[0.0, float("-inf"), 0.0])),
+        ("float", dict(flt, weights=[[0.5] * 6, [0.5] * 6, [0.5] * 5])),
+    ):
+        path.write_text(json.dumps({"version": 1, "kind": kind, "topology": [6, 3], "layers": [entry]}))
+        with pytest.raises(FormatError):
+            nn.load_model(path)
+    # a model built in memory is held to the same scale rule
+    with pytest.raises(ValidationError):
+        nn.QuantizedLayer(np.zeros((3, 6)), np.zeros(3), "linear", 1.0, float("nan"), 1.0)
+
 
 def test_load_rejects_bias_overflow(tmp_path, trained):
     _, qmodel, _, _ = trained

@@ -349,3 +349,6 @@ def test_events_csv_roundtrip(tmp_path):
     path.write_text("timestamp,class\n100\n")
     with pytest.raises(FormatError):
         pl.read_events_csv(path)
+    path.write_text("timestamp,class\nabc,SS\n")
+    with pytest.raises(FormatError):
+        pl.read_events_csv(path)
