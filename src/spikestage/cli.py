@@ -72,13 +72,6 @@ def _parse_topology(text: str) -> tuple:
     return topology
 
 
-def _load_quantized(path) -> nn.QuantizedMlpModel:
-    model = nn.load_model(path)
-    if not isinstance(model, nn.QuantizedMlpModel):
-        raise ValidationError(f"{path}: deployment needs a quantized model (run quantize first)")
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -252,12 +245,10 @@ def cmd_dse(args, cfg) -> int:
 
 def cmd_run(args, cfg) -> int:
     samples, rec_cfg = signal.read_recording(args.infile)
-    model = _load_quantized(args.model)
-    options = pipeline.PipelineOptions(
-        classify_ticks=args.classify_ticks,
-        store_false_positives=args.events_csv is not None,
+    model = nn.load_model(args.model)
+    events, stats = pipeline.run_pipeline(
+        samples, model, cfg.detector, classify_ticks=args.classify_ticks
     )
-    events, stats = pipeline.run_pipeline(samples, model, cfg.detector, options)
     if args.events_csv is not None:
         pipeline.write_events_csv(args.events_csv, events)
     stored = [e for e in events if e.klass is not nn.SpikeClass.F]

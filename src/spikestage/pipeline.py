@@ -8,14 +8,15 @@ A four-state machine consumes one ADC sample per tick:
     DETECTED    appends the smoothed sample to the capture buffer; after
                 the 40th sample, CLASSIFYING
     CLASSIFYING quantizes the buffer (divided by 4, floored, clamped to
-                int8), runs the quantized classifier once, emits at most
-                one event, occupies classify_ticks ticks, then returns to
-                RUNNING
+                int8), runs the quantized classifier once, returns its
+                classification, occupies classify_ticks ticks, then returns
+                to RUNNING
 
 New detections are ignored outside RUNNING, so honored detections are at
 least 40 + classify_ticks ticks apart and each one captures exactly 40
 samples.  Event timestamps are the detection ticks, strictly increasing.
-False-positive classifications produce no event unless configured to.
+Every classification is returned, false positives (F) included; F is never
+stored, so RunStats.events_emitted counts the SS and CS events only.
 
 The Pipeline class steps tick by tick and is the behavioural reference.
 run_pipeline computes the identical result from whole-stream array passes
@@ -56,16 +57,6 @@ class FsmState(Enum):
     CLASSIFYING = "classifying"
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
-    classify_ticks: int = 1  # ticks the classifier occupies per invocation
-    store_false_positives: bool = False  # emit F classifications as events
-
-    def __post_init__(self):
-        if self.classify_ticks < 1:
-            raise ValidationError("classify_ticks must be at least 1")
-
-
 @dataclass
 class RunStats:
     """Tick and event accounting for one run."""
@@ -80,7 +71,7 @@ class RunStats:
     class_counts: dict = field(
         default_factory=lambda: {k.name: 0 for k in SpikeClass}
     )
-    events_emitted: int = 0
+    events_emitted: int = 0  # SS and CS classifications, the events a log stores
     converged_tick: int | None = None
     threshold: float = 0.0
 
@@ -99,11 +90,26 @@ def quantize_capture_array(y) -> np.ndarray:
     )
 
 
-def _check_width(model: QuantizedMlpModel) -> None:
-    if model.topology[0] != WAVEFORM_SAMPLES:
+def _check_latency(classify_ticks: int) -> None:
+    if classify_ticks < 1:
+        raise ValidationError("classify_ticks must be at least 1")
+
+
+def _check_deployable(model, classify_ticks: int) -> None:
+    """Refuse what the deployed pipeline cannot run.
+
+    The model must be quantized and map one 40-sample capture to one logit
+    per class; classify_ticks is the classifier's latency in ticks.
+    """
+    if not isinstance(model, QuantizedMlpModel):
+        raise ValidationError("deployment needs a quantized model (run quantize first)")
+    topology = model.topology
+    if topology[0] != WAVEFORM_SAMPLES or topology[-1] != NUM_CLASSES:
         raise ValidationError(
-            f"pipeline model must take {WAVEFORM_SAMPLES} inputs, got {model.topology[0]}"
+            f"pipeline model must map {WAVEFORM_SAMPLES} inputs to {NUM_CLASSES} classes, "
+            f"got topology {topology}"
         )
+    _check_latency(classify_ticks)
 
 
 class Pipeline:
@@ -113,12 +119,13 @@ class Pipeline:
         self,
         model: QuantizedMlpModel,
         det_cfg: DetectorConfig | None = None,
-        options: PipelineOptions | None = None,
+        *,
+        classify_ticks: int = 1,
     ):
-        _check_width(model)
+        _check_deployable(model, classify_ticks)
         self.model = model
         self.det_cfg = det_cfg or DetectorConfig()
-        self.options = options or PipelineOptions()
+        self.classify_ticks = classify_ticks  # ticks the classifier occupies per invocation
         self.detector = det.DetectorState()
         self.fsm = FsmState.INIT
         self.stats = RunStats()
@@ -137,7 +144,7 @@ class Pipeline:
         self.fsm = FsmState.INIT
 
     def step(self, x: float) -> EventRecord | None:
-        """Process one raw sample; returns the event emitted on this tick."""
+        """Process one raw sample; returns the classification made on this tick."""
         tick = self.detector.ticks
         state = self.fsm
         detected = det.detector_step(
@@ -163,30 +170,29 @@ class Pipeline:
             stats.detected_ticks += 1
             self._buffer.append(self.detector.y_signal)
             if len(self._buffer) == WAVEFORM_SAMPLES:
-                self._countdown = self.options.classify_ticks
+                self._countdown = self.classify_ticks
                 self.fsm = FsmState.CLASSIFYING
         else:  # CLASSIFYING
             stats.classifying_ticks += 1
-            if self._countdown == self.options.classify_ticks:
+            if self._countdown == self.classify_ticks:
                 event = self._classify()
             self._countdown -= 1
             if self._countdown == 0:
                 self.fsm = FsmState.RUNNING
         return event
 
-    def _classify(self) -> EventRecord | None:
+    def _classify(self) -> EventRecord:
         waveform = quantize_capture_array(self._buffer)
         logits = infer_quantized_batch(self.model, waveform[None, :])[0]
         klass = SpikeClass(int(np.argmax(logits)))
         stats = self.stats
         stats.classify_invocations += 1
         stats.class_counts[klass.name] += 1
-        if klass is SpikeClass.F and not self.options.store_false_positives:
-            return None
+        if klass is not SpikeClass.F:
+            stats.events_emitted += 1
         ts = self._detection_tick
         assert self._last_event_ts is None or ts > self._last_event_ts
         self._last_event_ts = ts
-        stats.events_emitted += 1
         return EventRecord(ts, klass)
 
     def run(self, samples) -> list[EventRecord]:
@@ -217,7 +223,7 @@ def _honored_detections(candidates: np.ndarray, busy_ticks: int) -> np.ndarray:
     return candidates[kept].astype(np.int64, copy=False)
 
 
-def _capture_path(samples, det_cfg, options):
+def _capture_path(samples, det_cfg, classify_ticks):
     """Detector pass and the capture rule: (trace, honored ticks, complete ticks).
 
     A detection is honored when no earlier honored detection keeps the
@@ -225,7 +231,7 @@ def _capture_path(samples, det_cfg, options):
     is complete when the samples t+1..t+40 lie inside the stream.
     """
     trace = det.detector_trace(samples, det_cfg or DetectorConfig())
-    busy = WAVEFORM_SAMPLES + options.classify_ticks + 1
+    busy = WAVEFORM_SAMPLES + classify_ticks + 1
     honored = _honored_detections(det.detection_candidates(trace), busy)
     complete = honored[honored + WAVEFORM_SAMPLES <= len(samples) - 1]
     return trace, honored, complete
@@ -239,7 +245,8 @@ def _gather(trace: det.DetectorTrace, ticks: np.ndarray) -> np.ndarray:
 def capture_detections(
     samples,
     det_cfg: DetectorConfig | None = None,
-    options: PipelineOptions | None = None,
+    *,
+    classify_ticks: int = 1,
 ):
     """Detection ticks and their 40-sample capture buffers, deployment-timed.
 
@@ -247,7 +254,8 @@ def capture_detections(
     detection with a complete capture.  Shares run_pipeline's capture path,
     so training data matches what the classifier sees in the field.
     """
-    trace, _, complete = _capture_path(samples, det_cfg, options or PipelineOptions())
+    _check_latency(classify_ticks)
+    trace, _, complete = _capture_path(samples, det_cfg, classify_ticks)
     return complete, _gather(trace, complete), trace
 
 
@@ -255,16 +263,16 @@ def run_pipeline(
     samples,
     model: QuantizedMlpModel,
     det_cfg: DetectorConfig | None = None,
-    options: PipelineOptions | None = None,
+    *,
+    classify_ticks: int = 1,
 ) -> tuple[list[EventRecord], RunStats]:
     """Whole-stream equivalent of stepping a Pipeline over samples.
 
-    Produces the same events and the same stats as the tick-by-tick
-    reference, from vectorized passes.
+    Produces the same classifications and the same stats as the
+    tick-by-tick reference, from vectorized passes.
     """
-    _check_width(model)
-    options = options or PipelineOptions()
-    trace, honored, complete = _capture_path(samples, det_cfg, options)
+    _check_deployable(model, classify_ticks)
+    trace, honored, complete = _capture_path(samples, det_cfg, classify_ticks)
     n = len(samples)
     T = trace.converged_tick
 
@@ -273,7 +281,7 @@ def run_pipeline(
     stats.detections = len(honored)
     stats.detected_ticks = int(np.clip(n - 1 - honored, 0, WAVEFORM_SAMPLES).sum())
     stats.classifying_ticks = int(
-        np.clip(n - 1 - (complete + WAVEFORM_SAMPLES), 0, options.classify_ticks).sum()
+        np.clip(n - 1 - (complete + WAVEFORM_SAMPLES), 0, classify_ticks).sum()
     )
     # the classifier runs on the tick after the capture's last sample
     classified = complete[complete + WAVEFORM_SAMPLES + 1 <= n - 1]
@@ -284,16 +292,11 @@ def run_pipeline(
 
     labels = np.argmax(infer_quantized_batch(model, _gather(trace, classified)), axis=1)
     counts = np.bincount(labels, minlength=NUM_CLASSES).tolist()
-    # a label past the last class raises here, as SpikeClass(label) does per event
-    klasses = tuple(map(SpikeClass, range(len(counts))))
+    klasses = tuple(SpikeClass)  # in logit order
     stats.class_counts = {k.name: c for k, c in zip(klasses, counts)}
-    if not options.store_false_positives:
-        keep = labels != SpikeClass.F
-        classified, labels = classified[keep], labels[keep]
+    stats.events_emitted = len(classified) - counts[SpikeClass.F]
     klass_of = map(klasses.__getitem__, labels.tolist())
-    events = list(map(EventRecord, classified.tolist(), klass_of))
-    stats.events_emitted = len(events)
-    return events, stats
+    return list(map(EventRecord, classified.tolist(), klass_of)), stats
 
 
 def write_events_csv(path, events) -> None:

@@ -139,7 +139,6 @@ def build_dataset(
     sample_rate_hz: float,
     det_cfg: DetectorConfig | None = None,
     label_window_ms: float = 1.0,
-    options: pl.PipelineOptions | None = None,
 ) -> Dataset:
     """Run the capture path over a recording and label the results.
 
@@ -151,7 +150,7 @@ def build_dataset(
         raise ValidationError("sample_rate_hz must be positive")
     if not (label_window_ms > 0 and math.isfinite(label_window_ms)):
         raise ValidationError("label_window_ms must be positive and finite")
-    ticks, waveforms, _ = pl.capture_detections(samples, det_cfg, options)
+    ticks, waveforms, _ = pl.capture_detections(samples, det_cfg)
     labels = label_detections(ticks, annotations, label_window_ms * sample_rate_hz / 1000.0)
     return Dataset(waveforms, labels, ticks)
 

@@ -247,9 +247,8 @@ def test_07_fsm_invariants(capsys, chain600):
     samples, _ = signal.generate_recording(rec_cfg, SynthesisParams())
     stream = samples.astype(np.float64)
     n = len(stream)
-    options = pl.PipelineOptions(store_false_positives=True)
 
-    p = pl.Pipeline(qmodel, options=options)
+    p = pl.Pipeline(qmodel)
     step_events = []
     emission_ticks = []
     completed_captures = 0
@@ -263,8 +262,8 @@ def test_07_fsm_invariants(capsys, chain600):
             emission_ticks.append(tick)
         prev = p.fsm
 
-    vec_events, vec_stats = pl.run_pipeline(stream, qmodel, options=options)
-    again_events, again_stats = pl.run_pipeline(stream, qmodel, options=options)
+    vec_events, vec_stats = pl.run_pipeline(stream, qmodel)
+    again_events, again_stats = pl.run_pipeline(stream, qmodel)
 
     ts = np.array([e.timestamp for e in step_events])
     checks = {

@@ -134,6 +134,27 @@ def test_run_output(chain):
     assert kept == [(e.timestamp, e.klass) for e in events]
 
 
+def test_run_stats_do_not_depend_on_events_csv(capsys, tmp_path, chain):
+    p, _ = chain
+    stats = tmp_path / "stats.json"
+    run = ("run", "--in", p["rec"], "--model", p["qmodel"], "--out", tmp_path / "e.spkevt")
+    assert main_exit(capsys, *run, "--stats", stats) == 0
+    # the chain's run wrote its stats alongside --events-csv
+    assert stats.read_bytes() == p["stats"].read_bytes()
+
+
+def test_run_refuses_a_model_without_three_outputs(capsys, tmp_path, chain):
+    p, _ = chain
+    # every capture scores highest on a fourth output, which no class names
+    layer = nn.QuantizedLayer(
+        np.zeros((4, 40), dtype=np.int8), np.array([0, 0, 0, 1]), "linear", 1.0, 1.0, 1.0
+    )
+    model = tmp_path / "q4.json"
+    nn.save_model(model, nn.QuantizedMlpModel([layer]))
+    run = ("run", "--in", p["rec"], "--model", model, "--out", tmp_path / "e.spkevt")
+    assert main_exit(capsys, *run, blame="topology") == 1
+
+
 def test_postprocess_output(chain):
     _, out = chain
     rep = out["postprocess"]

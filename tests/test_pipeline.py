@@ -18,10 +18,9 @@ def naive_quantize(y: float) -> int:
     return max(-128, min(127, math.floor(y / 4)))
 
 
-def naive_fsm(samples, model, det_cfg=None, options=None):
+def naive_fsm(samples, model, det_cfg=None, classify_ticks=1):
     """Independent tick loop built straight from the detector primitives."""
     det_cfg = det_cfg or DetectorConfig()
-    options = options or pl.PipelineOptions()
     state = det.DetectorState()
     mode = "init"
     buffer = []
@@ -45,16 +44,15 @@ def naive_fsm(samples, model, det_cfg=None, options=None):
         elif mode == "detected":
             buffer.append(naive_quantize(state.y_signal))
             if len(buffer) == nn.WAVEFORM_SAMPLES:
-                countdown = options.classify_ticks
+                countdown = classify_ticks
                 mode = "classifying"
         else:
-            if countdown == options.classify_ticks:
+            if countdown == classify_ticks:
                 logits = nn.infer_quantized_batch(
                     model, np.array(buffer, dtype=np.int8)[None, :]
                 )[0]
                 klass = SpikeClass(int(np.argmax(logits)))
-                if klass is not SpikeClass.F or options.store_false_positives:
-                    events.append(store.EventRecord(detection_tick, klass))
+                events.append(store.EventRecord(detection_tick, klass))
             countdown -= 1
             if countdown == 0:
                 mode = "running"
@@ -104,7 +102,11 @@ def test_pipeline_rejects_wrong_input_width():
 
 def test_options_validation():
     with pytest.raises(ValidationError):
-        pl.PipelineOptions(classify_ticks=0)
+        pl.Pipeline(SMALL_MODEL, classify_ticks=0)
+    with pytest.raises(ValidationError):
+        pl.run_pipeline(np.zeros(100), SMALL_MODEL, classify_ticks=0)
+    with pytest.raises(ValidationError):
+        pl.capture_detections(np.zeros(100), classify_ticks=0)
 
 
 def test_step_matches_naive_fsm(ten_seconds, trained):
@@ -132,13 +134,12 @@ def test_step_matches_vectorized(ten_seconds, trained):
 def test_event_timing_contract(ten_seconds, trained):
     _, qmodel, _, _ = trained
     for ct in (1, 30):
-        options = pl.PipelineOptions(classify_ticks=ct)
-        events, stats = pl.run_pipeline(ten_seconds, qmodel, options=options)
+        events, stats = pl.run_pipeline(ten_seconds, qmodel, classify_ticks=ct)
         ts = np.array([e.timestamp for e in events])
         assert np.all(np.diff(ts) >= nn.WAVEFORM_SAMPLES + ct + 1)
         assert np.all(ts > stats.converged_tick)
         assert np.all(ts + nn.WAVEFORM_SAMPLES + 1 <= len(ten_seconds) - 1)
-        assert stats.events_emitted == len(events)
+        assert stats.events_emitted == sum(e.klass is not SpikeClass.F for e in events)
         assert stats.classify_invocations >= len(events)
         assert stats.detections >= stats.classify_invocations
         ticks_accounted = (
@@ -150,15 +151,18 @@ def test_event_timing_contract(ten_seconds, trained):
         assert ticks_accounted == stats.total_ticks == len(ten_seconds)
 
 
-def test_store_false_positives(ten_seconds, trained):
+def test_store_false_positives(tmp_path, ten_seconds, trained):
     _, qmodel, _, _ = trained
-    plain, plain_stats = pl.run_pipeline(ten_seconds, qmodel)
-    options = pl.PipelineOptions(store_false_positives=True)
-    full, full_stats = pl.run_pipeline(ten_seconds, qmodel, options=options)
-    assert len(full) == full_stats.classify_invocations == full_stats.events_emitted
-    assert [e for e in full if e.klass is not SpikeClass.F] == plain
-    assert full_stats.class_counts == plain_stats.class_counts
-    assert full_stats.class_counts["F"] == len(full) - len(plain) > 0
+    full, stats = pl.run_pipeline(ten_seconds, qmodel)
+    assert len(full) == stats.classify_invocations
+    plain = [e for e in full if e.klass is not SpikeClass.F]
+    assert stats.events_emitted == len(plain)
+    assert stats.class_counts["F"] == len(full) - len(plain) > 0
+    # F is never stored: the log holds exactly the returned SS and CS events
+    with pytest.raises(ValidationError):
+        store.write_event_log(tmp_path / "all.spkevt", full, 24414.0)
+    store.write_event_log(tmp_path / "kept.spkevt", plain, 24414.0)
+    assert store.read_event_log(tmp_path / "kept.spkevt")[0] == plain
 
 
 def test_capture_detections_matches_run(ten_seconds, trained):
@@ -171,8 +175,7 @@ def test_capture_detections_matches_run(ten_seconds, trained):
             waveforms[i], pl.quantize_capture_array(trace.y[t + 1 : t + 41])
         )
     classified = ticks[ticks + 41 <= n - 1]
-    options = pl.PipelineOptions(store_false_positives=True)
-    events, stats = pl.run_pipeline(ten_seconds, qmodel, options=options)
+    events, stats = pl.run_pipeline(ten_seconds, qmodel)
     assert [e.timestamp for e in events] == classified.tolist()
     assert stats.threshold == trace.threshold
     assert stats.converged_tick == trace.converged_tick
@@ -209,36 +212,34 @@ def pulsed_streams(draw):
     return stream
 
 
-def check_capture_path(stream, det_cfg, options):
+def check_capture_path(stream, det_cfg, classify_ticks):
     """run_pipeline equals Pipeline.step, and equals classifying capture_detections."""
-    step = pl.Pipeline(SMALL_MODEL, det_cfg, options)
+    step = pl.Pipeline(SMALL_MODEL, det_cfg, classify_ticks=classify_ticks)
     step_events = step.run(stream)
-    events, stats = pl.run_pipeline(stream, SMALL_MODEL, det_cfg, options)
+    events, stats = pl.run_pipeline(stream, SMALL_MODEL, det_cfg, classify_ticks=classify_ticks)
     assert events == step_events
     assert stats.to_dict() == step.stats.to_dict()
 
     # a capture is classified on the tick after its last sample
-    ticks, waveforms, _ = pl.capture_detections(stream, det_cfg, options)
+    ticks, waveforms, _ = pl.capture_detections(stream, det_cfg, classify_ticks=classify_ticks)
     keep = ticks + nn.WAVEFORM_SAMPLES + 1 <= len(stream) - 1
     klasses = nn.infer_quantized_batch(SMALL_MODEL, waveforms[keep]).argmax(axis=1)
     assert stats.classify_invocations == int(keep.sum())
     assert events == [
         store.EventRecord(int(t), SpikeClass(int(k)))
         for t, k in zip(ticks[keep], klasses)
-        if options.store_false_positives or k != SpikeClass.F
     ]
     return ticks
 
 
 @settings(max_examples=60, deadline=None)
-@given(pulsed_streams(), st.integers(1, 45), st.booleans())
-def test_capture_path_matches_step(stream, classify_ticks, store_false_positives):
+@given(pulsed_streams(), st.integers(1, 45))
+def test_capture_path_matches_step(stream, classify_ticks):
     det_cfg = DetectorConfig(convergence_window=256)
-    options = pl.PipelineOptions(classify_ticks, store_false_positives)
-    ticks = check_capture_path(stream, det_cfg, options)
+    ticks = check_capture_path(stream, det_cfg, classify_ticks)
     if len(ticks):
         # cut right after the last capture: complete, never classified
-        check_capture_path(stream[: ticks[-1] + nn.WAVEFORM_SAMPLES + 1], det_cfg, options)
+        check_capture_path(stream[: ticks[-1] + nn.WAVEFORM_SAMPLES + 1], det_cfg, classify_ticks)
 
 
 def naive_honored(candidates, busy_ticks):
