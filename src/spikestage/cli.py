@@ -288,7 +288,7 @@ def cmd_report(args, cfg) -> int:
     model = cfg.resources
     duration_s = args.duration_s
     breakdown = store.power_breakdown(model)
-    required = store.storage_required(duration_s, model.spike_rate_hz, model.record_bytes)
+    required = store.storage_required(duration_s, model.spike_rate_hz)
     _emit(
         {
             "power_w": breakdown,
@@ -299,7 +299,7 @@ def cmd_report(args, cfg) -> int:
                 "capacity_bytes": model.storage_capacity_bytes,
                 "fits": required <= model.storage_capacity_bytes,
                 "capacity_duration_s": model.storage_capacity_bytes
-                / (model.spike_rate_hz * model.record_bytes),
+                / (model.spike_rate_hz * store.RECORD_BYTES),
             },
             "assumptions": {
                 "battery_voltage_v": model.battery_voltage_v,

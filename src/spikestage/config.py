@@ -182,6 +182,10 @@ class DseConfig:
             raise ValidationError("folds must be at least 2")
         if not 0.0 < self.confidence < 1.0:
             raise ValidationError("confidence must be in (0, 1)")
+        if not all(1 <= lo <= hi for lo, hi in self.hidden_ranges):
+            raise ValidationError("each hidden_ranges pair (lo, hi) needs 1 <= lo <= hi")
+        if min(self.ortho_lambdas, default=0.0) < 0:
+            raise ValidationError("ortho_lambdas must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,6 @@ class ResourceModel:
     battery_capacity_mah: float = 12.0
     battery_voltage_v: float = 1.5  # assumed cell voltage
     storage_capacity_bytes: int = 32 * 2**20
-    record_bytes: int = 4  # one stored event word, store.RECORD_BYTES
     # "per_sample" charges one detection cycle per ADC sample, matching the
     # always-on front end; "per_event" charges it once per detected spike.
     detector_energy_basis: str = "per_sample"
@@ -213,7 +216,7 @@ class ResourceModel:
         if self.detector_energy_basis not in ("per_sample", "per_event"):
             raise ValidationError(f"unknown detector_energy_basis {self.detector_energy_basis!r}")
         for name, hint in _field_types(ResourceModel).items():
-            if hint is float and getattr(self, name) < 0:  # every energy, rate and battery figure
+            if hint in (float, int) and getattr(self, name) < 0:  # every figure but the basis
                 raise ValidationError(f"{name} must be non-negative")
         if self.spike_rate_hz == 0:  # the storage capacity is spread over this rate
             raise ValidationError("spike_rate_hz must be positive")

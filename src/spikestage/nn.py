@@ -129,7 +129,7 @@ class QuantizedMlpModel:
         ]
 
 
-def _layer_outputs(model: MlpModel, x: np.ndarray):
+def layer_outputs(model: MlpModel, x: np.ndarray):
     """Yield each layer's post-activation output for a [batch, in] matrix."""
     h = np.asarray(x, dtype=np.float64)
     for layer in model.layers:
@@ -141,7 +141,7 @@ def _layer_outputs(model: MlpModel, x: np.ndarray):
 
 def infer_float_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Forward pass on a [batch, in] matrix; returns [batch, out] logits."""
-    *_, logits = _layer_outputs(model, x)
+    *_, logits = layer_outputs(model, x)
     return logits
 
 
@@ -162,7 +162,7 @@ def quantize(model: MlpModel, calibration: np.ndarray) -> QuantizedMlpModel:
 
     # max |post-activation| per layer over the calibration inputs
     act_maxima = [
-        float(np.max(np.abs(h))) if h.size else 0.0 for h in _layer_outputs(model, calibration)
+        float(np.max(np.abs(h))) if h.size else 0.0 for h in layer_outputs(model, calibration)
     ]
     qlayers = []
     input_scale = 1.0

@@ -310,17 +310,21 @@ def write_events_csv(path, events) -> None:
 
 def read_events_csv(path) -> list[EventRecord]:
     events: list[EventRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["timestamp", "class"]:
-            raise FormatError(f"{path}: expected header timestamp,class")
-        for row in reader:
-            if len(row) != 2 or row[1] not in SpikeClass.__members__:
-                raise FormatError(f"{path}: malformed row {row!r}")
-            try:
-                timestamp = int(row[0])
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad timestamp {row[0]!r}") from exc
-            events.append(EventRecord(timestamp, SpikeClass[row[1]]))
+    # the reader decodes and splits lazily, so both errors surface in the loop
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["timestamp", "class"]:
+                raise FormatError(f"{path}: expected header timestamp,class")
+            for row in reader:
+                if len(row) != 2 or row[1] not in SpikeClass.__members__:
+                    raise FormatError(f"{path}: malformed row {row!r}")
+                try:
+                    timestamp = int(row[0])
+                except ValueError as exc:
+                    raise FormatError(f"{path}: bad timestamp {row[0]!r}") from exc
+                events.append(EventRecord(timestamp, SpikeClass[row[1]]))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: unreadable events CSV ({exc})") from exc
     return events

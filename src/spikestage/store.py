@@ -110,14 +110,12 @@ def read_event_log(path) -> tuple[list[EventRecord], float]:
     return unpack_words(words), float(rate)
 
 
-def storage_required(duration_s: float, spike_rate_hz: float, record_bytes: int = RECORD_BYTES) -> int:
+def storage_required(duration_s: float, spike_rate_hz: float) -> int:
     """Bytes needed to store every event of a run, rounded up to whole events."""
     events = duration_s * spike_rate_hz
     if not (duration_s >= 0 and spike_rate_hz >= 0 and math.isfinite(events)):
         raise ValidationError("duration and spike rate must be non-negative and finite")
-    if record_bytes <= 0:
-        raise ValidationError("record_bytes must be positive")
-    return int(math.ceil(events)) * record_bytes
+    return int(math.ceil(events)) * RECORD_BYTES
 
 
 def power_breakdown(model: ResourceModel) -> dict[str, float]:

@@ -41,6 +41,7 @@ from .nn import (
     SpikeClass,
     infer_float_batch,
     infer_quantized_batch,
+    layer_outputs,
     quantize,
 )
 from .signal import Annotation
@@ -372,12 +373,8 @@ def loss_and_grads(
     if out is None:
         size = sum(layer.weights.size + layer.biases.size for layer in model.layers)
         out = _param_views(model, np.empty(size))
-    acts = [np.asarray(X, dtype=np.float64)]
-    pre = []
-    for layer in model.layers:
-        z = acts[-1] @ layer.weights.T + layer.biases
-        pre.append(z)
-        acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
+    x = np.asarray(X, dtype=np.float64)
+    acts = [x, *layer_outputs(model, x)]
 
     rows = np.arange(len(y))
     probs, total, ce = _softmax_terms(acts[-1], y, rows)
@@ -397,7 +394,8 @@ def loss_and_grads(
             gw += ortho_lambda * 4.0 * (w @ grams[i])
         if i:
             delta = delta @ w
-            delta = np.where(pre[i - 1] > 0.0, delta, 0.0)
+            # the ReLU derivative: a post-activation is > 0 exactly where its input is
+            delta = np.where(acts[i] > 0.0, delta, 0.0)
     return loss, out
 
 

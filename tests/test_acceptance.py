@@ -301,7 +301,7 @@ def test_07_fsm_invariants(capsys, chain600):
 
 
 def test_08_resource_model(capsys):
-    required = store.storage_required(86400.0, 100.0, 4)
+    required = store.storage_required(86400.0, 100.0)
     capacity = 32 * 2**20
     model = ResourceModel()
     power = store.power_breakdown(model)

@@ -568,6 +568,8 @@ def test_non_finite_dse_config_exits_1(capsys, tmp_path, literal):
         {"dse": {"ortho_lambdas": ["a"]}},
         {"dse": {"hidden_ranges": [[1, "x"], [1, 2], [1, 2], [1, 2]]}},
         {"dse": {"hidden_ranges": [[1], [1, 2], [1, 2], [1, 2]]}},
+        {"dse": {"hidden_ranges": [[5, 2]]}},
+        {"resources": {"storage_capacity_bytes": -1}},
     ],
 )
 def test_malformed_config_value_exits_1(capsys, tmp_path, doc):

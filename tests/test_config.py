@@ -33,6 +33,11 @@ from spikestage.errors import ValidationError
         (PostprocConfig, "dead_zone_ms", "4"),
         (TrainConfig, "beta2", math.nan),
         (DseConfig, "ortho_lambdas", (0.01, -math.inf)),
+        # of the declared type, but outside the section's range rules
+        (DseConfig, "hidden_ranges", ((0, 3),)),
+        (DseConfig, "hidden_ranges", ((1, 40), (5, 2))),
+        (DseConfig, "ortho_lambdas", (-0.5,)),
+        (ResourceModel, "storage_capacity_bytes", -1),
     ],
 )
 def test_constructors_refuse_wrong_types(cls, key, value):
@@ -48,3 +53,5 @@ def test_constructors_accept_declared_types():
     assert DetectorConfig(neo_clip_ratio=None).neo_clip_ratio is None
     assert RecordingConfig(duration_s=np.float64(2.5)).num_samples == 61035
     assert DseConfig(hidden_ranges=(), ortho_lambdas=(0, 0.5)).hidden_ranges == ()
+    assert DseConfig(hidden_ranges=((1, 1), (3, 3))).hidden_ranges == ((1, 1), (3, 3))
+    assert ResourceModel(storage_capacity_bytes=0).storage_capacity_bytes == 0

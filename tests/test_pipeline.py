@@ -353,3 +353,6 @@ def test_events_csv_roundtrip(tmp_path):
     path.write_text("timestamp,class\nabc,SS\n")
     with pytest.raises(FormatError):
         pl.read_events_csv(path)
+    path.write_bytes(b"timestamp,class\n100,SS\n\xff\xfe,CS\n")  # not UTF-8
+    with pytest.raises(FormatError):
+        pl.read_events_csv(path)

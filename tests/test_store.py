@@ -176,7 +176,7 @@ def test_read_rejects_damage(tmp_path):
 
 
 def test_storage_required():
-    assert store.storage_required(86400.0, 100.0, 4) == 34_560_000
+    assert store.storage_required(86400.0, 100.0) == 34_560_000
     assert store.storage_required(1.5, 1.0) == 8  # ceil to 2 events
     assert store.storage_required(0.0, 100.0) == 0
     bad = [(-1.0, 100.0), (math.nan, 100.0), (math.inf, 100.0), (-math.inf, 100.0)]
@@ -184,8 +184,6 @@ def test_storage_required():
     for duration_s, rate in bad:
         with pytest.raises(ValidationError):
             store.storage_required(duration_s, rate)
-    with pytest.raises(ValidationError):
-        store.storage_required(10.0, 100.0, 0)
 
 
 def test_power_breakdown_reference_numbers():
@@ -236,5 +234,4 @@ def test_resource_model_validation():
     # the report spreads the storage capacity over the spike rate
     with pytest.raises(ValidationError, match="spike_rate_hz"):
         ResourceModel(spike_rate_hz=0.0)
-    assert ResourceModel().record_bytes == store.RECORD_BYTES
     assert store.storage_required(3600.0, 0.0) == 0
