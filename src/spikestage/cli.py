@@ -68,7 +68,7 @@ def _parse_topology(text: str) -> tuple:
         topology = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"topology must be comma-separated integers: {text!r}") from exc
-    train.complexity(topology)  # validates shape
+    nn.check_topology(topology)
     return topology
 
 
@@ -245,6 +245,11 @@ def cmd_dse(args, cfg) -> int:
 
 def cmd_run(args, cfg) -> int:
     samples, rec_cfg = signal.read_recording(args.infile)
+    if len(samples) > store.MAX_TIMESTAMP + 1:
+        raise ValidationError(
+            f"{args.infile}: {len(samples)} samples exceed the event log's "
+            f"{store.TIMESTAMP_BITS}-bit timestamps ({store.MAX_TIMESTAMP + 1} samples)"
+        )
     model = nn.load_model(args.model)
     events, stats = pipeline.run_pipeline(
         samples, model, cfg.detector, classify_ticks=args.classify_ticks

@@ -184,8 +184,8 @@ class DseConfig:
             raise ValidationError("confidence must be in (0, 1)")
         if not all(1 <= lo <= hi for lo, hi in self.hidden_ranges):
             raise ValidationError("each hidden_ranges pair (lo, hi) needs 1 <= lo <= hi")
-        if min(self.ortho_lambdas, default=0.0) < 0:
-            raise ValidationError("ortho_lambdas must be non-negative")
+        if not self.ortho_lambdas or min(self.ortho_lambdas) < 0:
+            raise ValidationError("ortho_lambdas must be one or more non-negative numbers")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 The deployed classifier consumes one captured waveform (40 signed 8-bit
 samples) and produces one of three classes.  Training happens elsewhere;
-this module owns the forward paths, the post-training quantization step,
-and the model file format.
+this module owns what a model is (its shape and topology rules), the
+forward paths, the post-training quantization step and the model file
+format.
 
 Quantization is symmetric and per layer: one weight scale, one activation
 scale.  Accumulation is 32-bit integer, requantization rounds half to even,
@@ -16,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +46,22 @@ class SpikeClass(IntEnum):
     F = 2
 
 
+def check_topology(topology) -> list[int]:
+    """The deployable shape: positive layer sizes from one capture to one logit per class."""
+    topology = list(topology)
+    if (
+        len(topology) < 2
+        or any(int(n) != n or n < 1 for n in topology)
+        or topology[0] != WAVEFORM_SAMPLES
+        or topology[-1] != NUM_CLASSES
+    ):
+        raise ValidationError(
+            f"topology {topology} must be positive layer sizes "
+            f"from {WAVEFORM_SAMPLES} inputs to {NUM_CLASSES} outputs"
+        )
+    return topology
+
+
 @dataclass
 class Layer:
     """One dense layer: weights are [out, in], activation follows the affine."""
@@ -62,30 +80,9 @@ class Layer:
         if self.activation not in ("relu", "linear"):
             raise ValidationError(f"unknown activation {self.activation!r}")
 
-
-@dataclass
-class MlpModel:
-    """Float MLP. Hidden layers are ReLU, the output layer is linear."""
-
-    layers: list[Layer]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise ValidationError("model needs at least one layer")
-        for a, b in zip(self.layers, self.layers[1:]):
-            if b.weights.shape[1] != a.weights.shape[0]:
-                raise ValidationError("layer dimensions do not chain")
-        for layer in self.layers[:-1]:
-            if layer.activation != "relu":
-                raise ValidationError("hidden layers must be relu")
-        if self.layers[-1].activation != "linear":
-            raise ValidationError("output layer must be linear")
-
     @property
-    def topology(self) -> list[int]:
-        return [self.layers[0].weights.shape[1]] + [
-            layer.weights.shape[0] for layer in self.layers
-        ]
+    def shape(self) -> tuple[int, int]:
+        return self.weights.shape
 
 
 @dataclass
@@ -110,23 +107,44 @@ class QuantizedLayer:
         if not all(0 < s < math.inf for s in scales):  # NaN fails too
             raise ValidationError("scales must be positive and finite")
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.q_weights.shape
+
 
 @dataclass
-class QuantizedMlpModel:
-    layers: list[QuantizedLayer]
+class _Mlp:
+    """The shape rule of both model kinds.
+
+    At least one layer, each layer's input width is the previous layer's
+    output width, hidden layers are ReLU and the output layer is linear.
+    """
+
+    layers: list
 
     def __post_init__(self):
         if not self.layers:
             raise ValidationError("model needs at least one layer")
         for a, b in zip(self.layers, self.layers[1:]):
-            if b.q_weights.shape[1] != a.q_weights.shape[0]:
+            if b.shape[1] != a.shape[0]:
                 raise ValidationError("layer dimensions do not chain")
+        for layer in self.layers[:-1]:
+            if layer.activation != "relu":
+                raise ValidationError("hidden layers must be relu")
+        if self.layers[-1].activation != "linear":
+            raise ValidationError("output layer must be linear")
 
     @property
     def topology(self) -> list[int]:
-        return [self.layers[0].q_weights.shape[1]] + [
-            layer.q_weights.shape[0] for layer in self.layers
-        ]
+        return [self.layers[0].shape[1]] + [layer.shape[0] for layer in self.layers]
+
+
+class MlpModel(_Mlp):
+    """Float MLP: a list of Layer."""
+
+
+class QuantizedMlpModel(_Mlp):
+    """Int8 MLP: a list of QuantizedLayer."""
 
 
 def layer_outputs(model: MlpModel, x: np.ndarray):
@@ -211,54 +229,6 @@ def infer_quantized_batch(model: QuantizedMlpModel, waveforms: np.ndarray) -> np
     raise AssertionError("unreachable")
 
 
-def _float_to_json(model: MlpModel) -> dict:
-    return {
-        "version": MODEL_FILE_VERSION,
-        "kind": "float",
-        "topology": model.topology,
-        "layers": [
-            {
-                "weights": layer.weights.tolist(),
-                "biases": layer.biases.tolist(),
-                "activation": layer.activation,
-            }
-            for layer in model.layers
-        ],
-    }
-
-
-def _quant_to_json(model: QuantizedMlpModel) -> dict:
-    return {
-        "version": MODEL_FILE_VERSION,
-        "kind": "quant",
-        "topology": model.topology,
-        "layers": [
-            {
-                "q_weights": layer.q_weights.tolist(),
-                "q_biases": layer.q_biases.tolist(),
-                "activation": layer.activation,
-                "input_scale": layer.input_scale,
-                "weight_scale": layer.weight_scale,
-                "output_scale": layer.output_scale,
-            }
-            for layer in model.layers
-        ],
-    }
-
-
-def save_model(path, model: MlpModel | QuantizedMlpModel) -> None:
-    """Write a model as JSON. The file records kind, topology, and layers."""
-    if isinstance(model, MlpModel):
-        doc = _float_to_json(model)
-    elif isinstance(model, QuantizedMlpModel):
-        doc = _quant_to_json(model)
-    else:
-        raise ValidationError(f"cannot save object of type {type(model).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def _json_number(value, name: str) -> float:
     """A JSON number (an integer or a float; a bool or a string is not one)."""
     if type(value) not in (int, float):
@@ -289,6 +259,58 @@ def _json_numbers(value, name: str, int_range: tuple[int, int] | None = None) ->
     return array
 
 
+def _json_text(value, name: str) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string")
+    return value
+
+
+# The model file format, one entry per kind: the model class, its layer
+# class, and each stored layer field (a constructor argument of the layer
+# class) with the reader that checks its JSON value.
+_CODECS = {
+    "float": (
+        MlpModel,
+        Layer,
+        {"weights": _json_numbers, "biases": _json_numbers, "activation": _json_text},
+    ),
+    "quant": (
+        QuantizedMlpModel,
+        QuantizedLayer,
+        {
+            "q_weights": partial(_json_numbers, int_range=(-128, 127)),
+            "q_biases": partial(_json_numbers, int_range=(INT32_MIN, INT32_MAX)),
+            "activation": _json_text,
+            "input_scale": _json_number,
+            "weight_scale": _json_number,
+            "output_scale": _json_number,
+        },
+    ),
+}
+
+
+def _to_json(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def save_model(path, model: MlpModel | QuantizedMlpModel) -> None:
+    """Write a model as JSON. The file records kind, topology, and layers."""
+    for kind, (model_cls, _, fields) in _CODECS.items():
+        if isinstance(model, model_cls):
+            break
+    else:
+        raise ValidationError(f"cannot save object of type {type(model).__name__}")
+    doc = {
+        "version": MODEL_FILE_VERSION,
+        "kind": kind,
+        "topology": model.topology,
+        "layers": [{f: _to_json(getattr(layer, f)) for f in fields} for layer in model.layers],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def load_model(path) -> MlpModel | QuantizedMlpModel:
     """Read a model written by save_model, validating shape and ranges."""
     try:
@@ -299,39 +321,18 @@ def load_model(path) -> MlpModel | QuantizedMlpModel:
     if not isinstance(doc, dict) or "kind" not in doc or "layers" not in doc:
         raise FormatError(f"{path}: not a model file")
     if doc.get("version") != MODEL_FILE_VERSION:
-        raise FormatError(
-            f"{path}: unsupported model file version {doc.get('version')!r}"
-        )
+        raise FormatError(f"{path}: unsupported model file version {doc.get('version')!r}")
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _CODECS:
+        raise FormatError(f"{path}: unknown model kind {kind!r}")
+    model_cls, layer_cls, fields = _CODECS[kind]
     try:
-        if doc["kind"] == "float":
-            model = MlpModel(
-                [
-                    Layer(
-                        weights=_json_numbers(entry["weights"], "weights"),
-                        biases=_json_numbers(entry["biases"], "biases"),
-                        activation=entry["activation"],
-                    )
-                    for entry in doc["layers"]
-                ]
-            )
-        elif doc["kind"] == "quant":
-            model = QuantizedMlpModel(
-                [
-                    QuantizedLayer(
-                        q_weights=_json_numbers(entry["q_weights"], "q_weights", (-128, 127)),
-                        q_biases=_json_numbers(
-                            entry["q_biases"], "q_biases", (INT32_MIN, INT32_MAX)
-                        ),
-                        activation=entry["activation"],
-                        input_scale=_json_number(entry["input_scale"], "input_scale"),
-                        weight_scale=_json_number(entry["weight_scale"], "weight_scale"),
-                        output_scale=_json_number(entry["output_scale"], "output_scale"),
-                    )
-                    for entry in doc["layers"]
-                ]
-            )
-        else:
-            raise FormatError(f"{path}: unknown model kind {doc['kind']!r}")
+        model = model_cls(
+            [
+                layer_cls(**{field: read(entry[field], field) for field, read in fields.items()})
+                for entry in doc["layers"]
+            ]
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: malformed model file ({exc})") from exc
     except ValidationError as exc:

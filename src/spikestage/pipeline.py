@@ -45,6 +45,7 @@ from .nn import (
     WAVEFORM_SAMPLES,
     QuantizedMlpModel,
     SpikeClass,
+    check_topology,
     infer_quantized_batch,
 )
 from .store import EventRecord
@@ -103,12 +104,7 @@ def _check_deployable(model, classify_ticks: int) -> None:
     """
     if not isinstance(model, QuantizedMlpModel):
         raise ValidationError("deployment needs a quantized model (run quantize first)")
-    topology = model.topology
-    if topology[0] != WAVEFORM_SAMPLES or topology[-1] != NUM_CLASSES:
-        raise ValidationError(
-            f"pipeline model must map {WAVEFORM_SAMPLES} inputs to {NUM_CLASSES} classes, "
-            f"got topology {topology}"
-        )
+    check_topology(model.topology)
     _check_latency(classify_ticks)
 
 

@@ -39,6 +39,7 @@ from .nn import (
     MlpModel,
     QuantizedMlpModel,
     SpikeClass,
+    check_topology,
     infer_float_batch,
     infer_quantized_batch,
     layer_outputs,
@@ -120,13 +121,7 @@ def derive_seed(base_seed: int, topology, fold: int) -> int:
 
 def complexity(topology) -> int:
     """Number of multiply-accumulates per inference: sum of n_i * n_{i+1}."""
-    topology = list(topology)
-    if len(topology) < 2 or any(int(n) != n or n < 1 for n in topology):
-        raise ValidationError("topology must be at least two positive integers")
-    if topology[0] != WAVEFORM_SAMPLES or topology[-1] != NUM_CLASSES:
-        raise ValidationError(
-            f"topology must start at {WAVEFORM_SAMPLES} inputs and end at {NUM_CLASSES} outputs"
-        )
+    topology = check_topology(topology)
     return int(sum(a * b for a, b in zip(topology, topology[1:])))
 
 
@@ -432,11 +427,7 @@ def train_mlp(
     Identical inputs and seed give identical weights.
     """
     cfg = cfg or TrainConfig()
-    topology = list(topology)
-    if topology[0] != WAVEFORM_SAMPLES or topology[-1] != NUM_CLASSES:
-        raise ValidationError(
-            f"topology must run from {WAVEFORM_SAMPLES} inputs to {NUM_CLASSES} outputs"
-        )
+    topology = check_topology(topology)
     rng = np.random.default_rng(seed)
 
     val_set = dataset[:0]
@@ -505,6 +496,11 @@ def train_mlp(
                 bad_epochs = 0
             else:
                 bad_epochs += 1
+        if not np.all(np.isfinite(list(entry.values()))):
+            raise ValidationError(
+                f"training diverged at epoch {epoch} (a non-finite loss); "
+                "a smaller train.learning_rate may help"
+            )
         log.entries.append(entry)
         if val_set and bad_epochs >= cfg.patience:
             log.stopped_early = True

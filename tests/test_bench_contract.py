@@ -19,7 +19,8 @@ import numpy as np
 from spikestage import analysis, config, nn, pipeline, signal, store, train
 from spikestage.nn import SpikeClass
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -74,6 +75,16 @@ def test_worker_names(tmp_path):
     selected = train.dse_select([result], dse_cfg.cs_floor)
     assert (selected.topology, selected.ortho_lambda, selected.complexity) == ([40, 2, 3], 0.01, 86)
     assert selected.per_class[SpikeClass.CS].fold_values == [0.99, 0.99]
+
+
+def test_committed_model_round_trips_to_its_bytes(tmp_path):
+    # the replay workloads load this file; saving what was loaded must give
+    # the committed bytes, so a codec change cannot drift the deployed model
+    committed = PERFBENCH / "data" / "model_q.json"
+    model = nn.load_model(committed)
+    assert isinstance(model, nn.QuantizedMlpModel)
+    nn.save_model(tmp_path / "model_q.json", model)
+    assert (tmp_path / "model_q.json").read_bytes() == committed.read_bytes()
 
 
 # every span of the replay chain, as perfbench's replay layers read them

@@ -155,6 +155,37 @@ def test_run_refuses_a_model_without_three_outputs(capsys, tmp_path, chain):
     assert main_exit(capsys, *run, blame="topology") == 1
 
 
+@pytest.mark.parametrize("index, activation", [(0, "linear"), (1, "relu")])
+def test_run_refuses_a_quantized_model_that_breaks_the_shape_rule(
+    capsys, model_files, index, activation
+):
+    # hidden layers are relu and the output layer linear, in a file as in memory
+    hidden = nn.QuantizedLayer(np.ones((4, 40)), np.zeros(4), "relu", 1.0, 1.0, 1.0)
+    output = nn.QuantizedLayer(np.ones((3, 4)), np.zeros(3), "linear", 1.0, 1.0, 1.0)
+    model = model_files / "q2.json"
+    nn.save_model(model, nn.QuantizedMlpModel([hidden, output]))
+    _corrupt(model, "activation", activation, index=index)
+    out = model_files / "e.spkevt"
+    run = ("run", "--in", model_files / "r.spkr", "--model", model, "--out", out)
+    assert main_exit(capsys, *run, blame="q2.json") == 2
+    assert not out.exists()
+
+
+def test_run_refuses_a_recording_beyond_31_bit_timestamps(capsys, monkeypatch, model_files):
+    # a zero-stride view: 2^31 + 1 samples that allocate nothing
+    samples = np.broadcast_to(np.int16(0), (2**31 + 1,))
+    monkeypatch.setattr(signal, "read_recording", lambda path: (samples, RecordingConfig()))
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("run_pipeline ran on a recording the event log cannot address")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", unreachable)
+    out = model_files / "e.spkevt"
+    run = ("run", "--in", model_files / "r.spkr", "--model", model_files / "q.json", "--out", out)
+    assert main_exit(capsys, *run, blame="2147483649 samples") == 1
+    assert not out.exists()
+
+
 def test_postprocess_output(chain):
     _, out = chain
     rep = out["postprocess"]
@@ -372,9 +403,9 @@ def model_files(tmp_path):
     return tmp_path
 
 
-def _corrupt(path, key, value):
+def _corrupt(path, key, value, index=0):
     doc = json.loads(path.read_text())
-    doc["layers"][0][key] = value
+    doc["layers"][index][key] = value
     path.write_text(json.dumps(doc))
 
 
@@ -570,12 +601,25 @@ def test_non_finite_dse_config_exits_1(capsys, tmp_path, literal):
         {"dse": {"hidden_ranges": [[1], [1, 2], [1, 2], [1, 2]]}},
         {"dse": {"hidden_ranges": [[5, 2]]}},
         {"resources": {"storage_capacity_bytes": -1}},
+        {"dse": {"ortho_lambdas": []}},
     ],
 )
 def test_malformed_config_value_exits_1(capsys, tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert main_exit(capsys, "report", "--config", path, blame=f"'{next(iter(doc))}'") == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_diverging_training_exits_1(capsys, tmp_path):
+    ds = tmp_path / "ds.jsonl"
+    tr.save_dataset(ds, _cluster_dataset())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"learning_rate": 1e300, "epochs": 3}}))
+    model, log = tmp_path / "m.json", tmp_path / "log.jsonl"
+    train = ("train", "--dataset", ds, "--topology", "40,3", "--out", model, "--log", log)
+    assert main_exit(capsys, *train, "--config", cfg, blame="diverged") == 1
+    assert not model.exists() and not log.exists()
 
 
 def test_config_value_types(capsys, tmp_path):

@@ -37,6 +37,7 @@ from spikestage.errors import ValidationError
         (DseConfig, "hidden_ranges", ((0, 3),)),
         (DseConfig, "hidden_ranges", ((1, 40), (5, 2))),
         (DseConfig, "ortho_lambdas", (-0.5,)),
+        (DseConfig, "ortho_lambdas", ()),  # a search over no candidate
         (ResourceModel, "storage_capacity_bytes", -1),
     ],
 )

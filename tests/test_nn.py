@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -92,6 +94,15 @@ def test_model_structure_validation():
                 nn.Layer(rng.normal(size=(3, 4)), np.zeros(3), "linear"),
             ]
         )
+    # the quantized kind is held to the same rule
+    qlayers = nn.quantize(good, rng.normal(size=(4, 6))).layers
+    for i, activation in ((0, "linear"), (-1, "relu")):
+        bad = list(qlayers)
+        bad[i] = dataclasses.replace(qlayers[i], activation=activation)
+        with pytest.raises(ValidationError, match="must be"):
+            nn.QuantizedMlpModel(bad)
+    with pytest.raises(ValidationError, match="chain"):
+        nn.QuantizedMlpModel(qlayers[1:] + qlayers[:1])
 
 
 def test_weight_scale_definition():
@@ -196,6 +207,23 @@ def test_save_load_quantized_roundtrip(tmp_path, trained):
     assert np.array_equal(
         nn.infer_quantized_batch(qmodel, X), nn.infer_quantized_batch(loaded, X)
     )
+
+
+# sha256 of the float model file then its quantization, both from
+# test_model_file_bytes_are_pinned; any change to the saved bytes shows here
+MODEL_FILE_SHA256 = "0f5462a0a0ccd502d0cad6ba810bb043635a64f88a97b9ca7ce227b56b82a452"
+
+
+def test_model_file_bytes_are_pinned(tmp_path):
+    rng = np.random.default_rng(11)
+    model = random_model(rng, topology=(40, 6, 4, 3))
+    qmodel = nn.quantize(model, rng.integers(-128, 128, size=(64, 40)).astype(np.float64))
+    digest = hashlib.sha256()
+    path = tmp_path / "model.json"
+    for m in (model, qmodel):
+        nn.save_model(path, m)
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == MODEL_FILE_SHA256
 
 
 def test_load_rejects_malformed(tmp_path):

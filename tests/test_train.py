@@ -419,10 +419,21 @@ def test_train_stops_early_on_noise():
 
 def test_train_rejects_bad_topology():
     ds = make_cluster_dataset((4, 4, 4))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"topology \[39, 4, 3\]"):
         tr.train_mlp(ds, (39, 4, 3))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"topology \[40, 4, 4\]"):
         tr.train_mlp(ds, (40, 4, 4))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("val_fraction", [0.25, 0.0])
+def test_train_refuses_a_diverging_loss(val_fraction):
+    # a step this large overflows the weights, so the loss turns NaN; the
+    # untrained initial weights must not come back as the best epoch's
+    ds = make_cluster_dataset((4, 4, 4))
+    cfg = TrainConfig(learning_rate=1e300, epochs=3, val_fraction=val_fraction)
+    with pytest.raises(ValidationError, match="diverged"):
+        tr.train_mlp(ds, (40, 4, 3), cfg)
 
 
 def test_training_log_jsonl(tmp_path):
