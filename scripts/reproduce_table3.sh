@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Score the built-in "table3" candidate grid by cross-validation and write
-# the ranked table plus the selected architecture to disk.
+# Score every candidate of the built-in "table3" grid by cross-validation
+# (--exhaustive: no early exit) and write the ranked table plus the selected
+# architecture to disk.
 #
 # Usage: [JOBS=n] scripts/reproduce_table3.sh [output-dir]
 set -euo pipefail
@@ -15,5 +16,5 @@ spike-pipeline generate --out "$out/rec.spkr" --annotations "$out/ann.csv" \
 spike-pipeline build-dataset --in "$out/rec.spkr" --annotations "$out/ann.csv" \
     --out "$out/dataset.jsonl"
 
-spike-pipeline dse --dataset "$out/dataset.jsonl" --grid table3 \
+spike-pipeline dse --dataset "$out/dataset.jsonl" --grid table3 --exhaustive \
     --jobs "$jobs" --out "$out/dse_results.json" | tee "$out/dse_table.txt"

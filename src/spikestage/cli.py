@@ -191,7 +191,8 @@ def cmd_dse(args, cfg) -> int:
     else:
         candidates = list(train.full_grid(cfg.dse))
     results = train.run_dse(
-        dataset, candidates, cfg.train, cfg.dse, seed=args.seed, jobs=args.jobs
+        dataset, candidates, cfg.train, cfg.dse,
+        seed=args.seed, jobs=args.jobs, exhaustive=args.exhaustive,
     )
     selected = train.dse_select(results, cfg.dse.cs_floor)
 
@@ -209,6 +210,8 @@ def cmd_dse(args, cfg) -> int:
 
     if args.out is not None:
         doc = {
+            "candidates": len(candidates),
+            "evaluated": len(results),
             "results": [
                 {
                     "topology": r.topology,
@@ -372,7 +375,12 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", choices=("table3", "full"), default="table3")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", default=None, help="write full results JSON here")
+    p.add_argument(
+        "--exhaustive",
+        action="store_true",
+        help="evaluate every candidate instead of stopping at the cheapest topology with a survivor",
+    )
+    p.add_argument("--out", default=None, help="write the evaluated results JSON here")
 
     p = add("run", cmd_run, "detect and classify, write a binary event log")
     p.add_argument("--in", dest="infile", required=True, help="input recording file")

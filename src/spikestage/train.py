@@ -16,6 +16,7 @@ whose CS accuracy is above a floor with 95% confidence.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -470,41 +471,44 @@ def train_mlp(
     best_val = math.inf
     best_params = params.copy()
     bad_epochs = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(X))
-        epoch_loss = 0.0
-        for start in range(0, len(X), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            loss, _ = loss_and_grads(model, X[batch], y[batch], cfg.ortho_lambda, grads)
-            epoch_loss += loss * len(batch)
-            step += 1
-            bc1 = 1.0 - cfg.beta1**step
-            bc2 = 1.0 - cfg.beta2**step
-            adam_m *= cfg.beta1
-            adam_m += (1.0 - cfg.beta1) * grad
-            adam_v *= cfg.beta2
-            adam_v += (1.0 - cfg.beta2) * grad * grad
-            params -= cfg.learning_rate * (adam_m / bc1) / (np.sqrt(adam_v / bc2) + cfg.adam_epsilon)
+    # a diverging run overflows before its loss turns non-finite; the check
+    # below reports that as one error instead of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(X))
+            epoch_loss = 0.0
+            for start in range(0, len(X), cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                loss, _ = loss_and_grads(model, X[batch], y[batch], cfg.ortho_lambda, grads)
+                epoch_loss += loss * len(batch)
+                step += 1
+                bc1 = 1.0 - cfg.beta1**step
+                bc2 = 1.0 - cfg.beta2**step
+                adam_m *= cfg.beta1
+                adam_m += (1.0 - cfg.beta1) * grad
+                adam_v *= cfg.beta2
+                adam_v += (1.0 - cfg.beta2) * grad * grad
+                params -= cfg.learning_rate * (adam_m / bc1) / (np.sqrt(adam_v / bc2) + cfg.adam_epsilon)
 
-        entry = {"epoch": epoch, "train_loss": epoch_loss / len(X)}
-        if val_set:
-            entry["val_loss"] = cross_entropy(infer_float_batch(model, Xv), yv)
-            if entry["val_loss"] < best_val:
-                best_val = entry["val_loss"]
-                best_params = params.copy()
-                log.best_epoch = epoch
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-        if not np.all(np.isfinite(list(entry.values()))):
-            raise ValidationError(
-                f"training diverged at epoch {epoch} (a non-finite loss); "
-                "a smaller train.learning_rate may help"
-            )
-        log.entries.append(entry)
-        if val_set and bad_epochs >= cfg.patience:
-            log.stopped_early = True
-            break
+            entry = {"epoch": epoch, "train_loss": epoch_loss / len(X)}
+            if val_set:
+                entry["val_loss"] = cross_entropy(infer_float_batch(model, Xv), yv)
+                if entry["val_loss"] < best_val:
+                    best_val = entry["val_loss"]
+                    best_params = params.copy()
+                    log.best_epoch = epoch
+                    bad_epochs = 0
+                else:
+                    bad_epochs += 1
+            if not np.all(np.isfinite(list(entry.values()))):
+                raise ValidationError(
+                    f"training diverged at epoch {epoch} (a non-finite loss); "
+                    "a smaller train.learning_rate may help"
+                )
+            log.entries.append(entry)
+            if val_set and bad_epochs >= cfg.patience:
+                log.stopped_early = True
+                break
 
     if val_set:
         params[:] = best_params
@@ -626,6 +630,10 @@ class DseResult:
     def cs_ci_low(self) -> float:
         return self.per_class[SpikeClass.CS].ci_low
 
+    def survives(self, cs_floor: float) -> bool:
+        """The selection rule: the CS CI lower bound lies strictly above the floor."""
+        return self.cs_ci_low > cs_floor
+
 
 def full_grid(cfg: DseConfig):
     """Yield every (topology, ortho_lambda) pair allowed by the ranges."""
@@ -659,6 +667,11 @@ def _dse_task(args):
     )
 
 
+def dse_rank(cost: int, topology) -> tuple:
+    """Rank of an architecture in the search: complexity `cost`, then depth, then topology."""
+    return (cost, len(topology), tuple(topology))
+
+
 def run_dse(
     dataset: Dataset,
     candidates,
@@ -666,23 +679,49 @@ def run_dse(
     dse_cfg: DseConfig | None = None,
     seed: int = 0,
     jobs: int = 1,
+    exhaustive: bool = False,
 ) -> list[DseResult]:
-    """Cross-validate every candidate (topology, ortho_lambda) pair.
+    """Cross-validate candidate (topology, ortho_lambda) pairs in rank order.
 
-    Seeds derive from (seed, topology, fold) alone, so results do not
-    depend on worker count or scheduling order.
+    Candidates are grouped by topology (each group holds all of that
+    topology's λ values, in the order given) and the groups are ranked by
+    `dse_rank`: complexity, then depth, then topology.  The groups are
+    cross-validated in that order, in waves of `jobs` tasks.  The search
+    stops after the first group that has a survivor (CS CI low above
+    `dse_cfg.cs_floor`), and always finishes that group.  `dse_select`
+    ranks by the same key before accuracy, so no later group could be
+    selected and the selection equals that of an exhaustive search.  A
+    search with no survivor evaluates every candidate; `exhaustive` turns
+    the stop off.
+
+    Returns the evaluated results in rank order, cut after the deciding
+    group.  Seeds derive from (seed, topology, fold) alone, so the list does
+    not depend on worker count or scheduling order.
     """
     train_cfg = train_cfg or TrainConfig()
     dse_cfg = dse_cfg or DseConfig()
-    tasks = [
-        (dataset, tuple(topology), rf, train_cfg, dse_cfg.folds, seed, dse_cfg.confidence)
-        for topology, rf in candidates
-    ]
-    jobs = min(jobs, len(tasks))  # a fork pool starts all its workers at once
-    if jobs <= 1:
-        return [_dse_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_dse_task, tasks))
+    groups: dict[tuple, list] = {}
+    for topology, rf in candidates:
+        groups.setdefault(tuple(topology), []).append(rf)
+    tasks, group_end = [], []  # group_end[i]: index just past task i's group
+    for topology in sorted(groups, key=lambda t: dse_rank(complexity(t), t)):
+        for rf in groups[topology]:
+            tasks.append((dataset, topology, rf, train_cfg, dse_cfg.folds, seed, dse_cfg.confidence))
+        group_end += [len(tasks)] * len(groups[topology])
+    jobs = max(1, min(jobs, len(tasks)))  # a fork pool starts all its workers at once
+    stop = len(tasks)
+    results: list[DseResult] = []
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        run = map if pool is None else pool.map
+        while len(results) < stop:
+            start = len(results)
+            results += run(_dse_task, tasks[start : min(start + jobs, stop)])
+            if not exhaustive:
+                for k in range(start, len(results)):
+                    if results[k].survives(dse_cfg.cs_floor):
+                        stop = min(stop, group_end[k])
+                        break
+    return results[:stop]
 
 
 def dse_select(results: list[DseResult], cs_floor: float = 0.90) -> DseResult | None:
@@ -692,15 +731,13 @@ def dse_select(results: list[DseResult], cs_floor: float = 0.90) -> DseResult | 
     smallest topology, then highest CS mean, then largest ortho_lambda.
     Returns None when nothing qualifies.
     """
-    survivors = [r for r in results if r.cs_ci_low > cs_floor]
+    survivors = [r for r in results if r.survives(cs_floor)]
     if not survivors:
         return None
     return min(
         survivors,
         key=lambda r: (
-            r.complexity,
-            len(r.topology),
-            tuple(r.topology),
+            *dse_rank(r.complexity, r.topology),
             -r.per_class[SpikeClass.CS].mean,
             -r.ortho_lambda,
         ),

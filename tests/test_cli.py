@@ -289,6 +289,34 @@ def test_dse_selects_under_reachable_floor(tmp_path):
     assert sel["topology"][0] == 40 and sel["topology"][-1] == 3
 
 
+def test_dse_early_exit_and_exhaustive_tables(capsys, tmp_path):
+    ds_path = tmp_path / "tiny.jsonl"
+    tr.save_dataset(ds_path, _cluster_dataset())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"dse": {"folds": 2, "cs_floor": 0.01}, "train": {"epochs": 2, "patience": 1}})
+    )
+    dse = ("dse", "--dataset", ds_path, "--grid", "table3", "--config", cfg_path)
+    docs, tables = [], []
+    for flags in ((), ("--exhaustive",)):
+        out = tmp_path / "dse.json"
+        assert cli.main([str(a) for a in (*dse, *flags, "--out", out)]) == 0
+        docs.append(json.loads(out.read_text()))
+        tables.append(capsys.readouterr().out.splitlines())
+    early, full = docs
+    assert early["candidates"] == full["candidates"] == 9
+    assert full["evaluated"] == len(full["results"]) == 9
+    # 40-2-3 fails this floor at both λ values and 40-4-3-3 (one λ) clears it
+    cs_lows = [r["per_class"]["CS"]["ci_low"] for r in full["results"]]
+    assert max(cs_lows[:2]) <= 0.01 < cs_lows[2]
+    assert early["evaluated"] == len(early["results"]) == 3
+    assert early["results"] == full["results"][:3]
+    assert early["selected"] == full["selected"]
+    # header, one row per evaluated result, the selection
+    assert len(tables[0]) == 1 + 3 + 1 and len(tables[1]) == 1 + 9 + 1
+    assert tables[0][:4] == tables[1][:4] and tables[0][-1] == tables[1][-1]
+
+
 def _cluster_dataset():
     rng = np.random.default_rng(0)
     centers = {
@@ -610,7 +638,7 @@ def test_malformed_config_value_exits_1(capsys, tmp_path, doc):
     assert main_exit(capsys, "report", "--config", path, blame=f"'{next(iter(doc))}'") == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_training_exits_1(capsys, tmp_path):
     ds = tmp_path / "ds.jsonl"
     tr.save_dataset(ds, _cluster_dataset())
@@ -618,7 +646,9 @@ def test_diverging_training_exits_1(capsys, tmp_path):
     cfg.write_text(json.dumps({"train": {"learning_rate": 1e300, "epochs": 3}}))
     model, log = tmp_path / "m.json", tmp_path / "log.jsonl"
     train = ("train", "--dataset", ds, "--topology", "40,3", "--out", model, "--log", log)
-    assert main_exit(capsys, *train, "--config", cfg, blame="diverged") == 1
+    assert cli.main([str(a) for a in (*train, "--config", cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "diverged" in err[0]
     assert not model.exists() and not log.exists()
 
 

@@ -425,7 +425,7 @@ def test_train_rejects_bad_topology():
         tr.train_mlp(ds, (40, 4, 4))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("val_fraction", [0.25, 0.0])
 def test_train_refuses_a_diverging_loss(val_fraction):
     # a step this large overflows the weights, so the loss turns NaN; the
@@ -662,8 +662,8 @@ def test_run_dse_parallel_matches_serial():
     ds = make_cluster_dataset((20, 20, 20), seed=6)
     candidates = [((40, 2, 3), 0.01), ((40, 4, 3), 0.001)]
     dse_cfg = DseConfig(folds=2)
-    serial = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=1)
-    parallel = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=2)
+    serial = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=1, exhaustive=True)
+    parallel = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=2, exhaustive=True)
     assert len(serial) == len(parallel) == 2
     for a, b in zip(serial, parallel):
         assert a.topology == b.topology
@@ -673,12 +673,14 @@ def test_run_dse_parallel_matches_serial():
             assert a.per_class[klass].fold_values == b.per_class[klass].fold_values
 
 
-def test_run_dse_caps_workers_at_candidates(monkeypatch):
-    pools = []
+def in_process_pool(pools, waves=None):
+    """A stand-in for ProcessPoolExecutor that maps in-process.
+
+    Each pool appends its worker count to `pools`; each `map` call appends
+    its (topology, ortho_lambda) tasks to `waves`.
+    """
 
     class SerialPool:
-        """Stands in for ProcessPoolExecutor: records the worker count, maps in-process."""
-
         def __init__(self, max_workers):
             pools.append(max_workers)
 
@@ -689,24 +691,125 @@ def test_run_dse_caps_workers_at_candidates(monkeypatch):
             return False
 
         def map(self, fn, tasks):
+            if waves is not None:
+                waves.append([(task[1], task[2]) for task in tasks])
             return map(fn, tasks)
 
-    monkeypatch.setattr(tr, "ProcessPoolExecutor", SerialPool)
+    return SerialPool
+
+
+def test_run_dse_caps_workers_at_candidates(monkeypatch):
+    pools = []
+    monkeypatch.setattr(tr, "ProcessPoolExecutor", in_process_pool(pools))
     ds = make_cluster_dataset((20, 20, 20), seed=6)
     candidates = [((40, 2, 3), 0.01), ((40, 4, 3), 0.001)]
     dse_cfg = DseConfig(folds=2)
-    capped = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=100_000)
+    capped = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=100_000, exhaustive=True)
     assert pools == [2]
-    serial = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=1)
+    serial = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=1, exhaustive=True)
     assert pools == [2]  # one job runs in-process
     for a, b in zip(capped, serial, strict=True):
         assert (a.topology, a.ortho_lambda) == (b.topology, b.ortho_lambda)
         for klass in SpikeClass:
             assert a.per_class[klass].fold_values == b.per_class[klass].fold_values
     # one candidate, or none, needs no pool at all
-    assert len(tr.run_dse(ds, candidates[:1], _quick_cfg(), dse_cfg, jobs=8)) == 1
-    assert tr.run_dse(ds, [], _quick_cfg(), dse_cfg, jobs=8) == []
+    assert len(tr.run_dse(ds, candidates[:1], _quick_cfg(), dse_cfg, jobs=8, exhaustive=True)) == 1
+    assert tr.run_dse(ds, [], _quick_cfg(), dse_cfg, jobs=8, exhaustive=True) == []
     assert pools == [2]
+
+
+# every topology with at most three hidden units
+_SMALL_TOPOLOGIES = [(40, *h, 3) for h in ((), (1,), (2,), (3,), (1, 1), (1, 2), (2, 1), (1, 1, 1))]
+
+
+def _first_survivor_cut(ranked, cs_floor):
+    """Length of the prefix of a rank-ordered list that ends with the first survivor's topology."""
+    survivors = [r.topology for r in ranked if r.cs_ci_low > cs_floor]
+    if not survivors:
+        return len(ranked)
+    return max(i for i, r in enumerate(ranked) if r.topology == survivors[0]) + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    candidates=st.lists(
+        st.tuples(st.sampled_from(_SMALL_TOPOLOGIES), st.sampled_from([0.0, 0.001, 0.01])),
+        min_size=2,
+        max_size=5,
+    ),
+    data_seed=st.integers(0, 3),
+    cs_floor=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_early_exit_matches_exhaustive_search(candidates, data_seed, cs_floor):
+    ds = make_cluster_dataset((20, 20, 20), seed=data_seed)
+    dse_cfg = DseConfig(folds=2, cs_floor=cs_floor)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "ProcessPoolExecutor", in_process_pool([]))
+        full = tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, exhaustive=True)
+        early = [tr.run_dse(ds, candidates, _quick_cfg(), dse_cfg, seed=4, jobs=j) for j in (1, 2, 3)]
+    # the exhaustive list holds every candidate, ranked by (complexity, depth, topology)
+    assert sorted((tuple(r.topology), r.ortho_lambda) for r in full) == sorted(candidates)
+    ranks = [(r.complexity, len(r.topology), r.topology) for r in full]
+    assert ranks == sorted(ranks)
+    assert early[0] == early[1] == early[2]
+    assert early[0] == full[: _first_survivor_cut(full, cs_floor)]
+    assert tr.dse_select(early[0], cs_floor) == tr.dse_select(full, cs_floor)
+
+
+def test_early_exit_matches_exhaustive_search_on_table3_in_a_pool():
+    ds = make_cluster_dataset((20, 20, 20), seed=6)
+    full = tr.run_dse(ds, tr.TABLE3_GRID, _quick_cfg(), DseConfig(folds=2), seed=4, exhaustive=True)
+    assert [(tuple(r.topology), r.ortho_lambda) for r in full] == list(tr.TABLE3_GRID)
+    # a floor that the first group fails and a later one clears
+    lows = sorted({r.cs_ci_low for r in full})
+    cs_floor = (lows[-1] + lows[-2]) / 2
+    assert full[0].cs_ci_low < cs_floor and full[1].cs_ci_low < cs_floor
+    early = tr.run_dse(ds, tr.TABLE3_GRID, _quick_cfg(), DseConfig(folds=2, cs_floor=cs_floor), seed=4, jobs=2)
+    assert 2 < len(early) < len(full)
+    assert early == full[: _first_survivor_cut(full, cs_floor)]
+    assert tr.dse_select(early, cs_floor) == tr.dse_select(full, cs_floor)
+
+
+def test_run_dse_finishes_the_first_survivor_group_and_stops(monkeypatch):
+    # CS CI lows by (topology, ortho_lambda); the floor is 0.9
+    low, high = (40, 2, 3), (40, 4, 3)
+    cs_ci_low = {
+        (low, 0.0): 0.5,
+        (low, 0.001): 0.95,  # the group's first survivor, at its second λ
+        (low, 0.01): 0.5,
+        (high, 0.01): 0.99,
+    }
+    started = []
+
+    def fake_cross_validate(dataset, topology, cfg, folds, seed, confidence):
+        started.append((topology, cfg.ortho_lambda))
+        ci = cs_ci_low[(topology, cfg.ortho_lambda)]
+        per = {k: tr.ClassStats(0.95, 0.01, ci, 0.99, [0.95]) for k in SpikeClass}
+        return tr.CrossValResult(list(topology), folds, per, [])
+
+    waves = []
+    monkeypatch.setattr(tr, "cross_validate", fake_cross_validate)
+    monkeypatch.setattr(tr, "ProcessPoolExecutor", in_process_pool([], waves))
+    # given out of rank order, and with the costlier group first
+    candidates = [(high, 0.01), (low, 0.0), (low, 0.001), (low, 0.01)]
+    ranked = [(low, 0.0), (low, 0.001), (low, 0.01)]
+    ds = make_cluster_dataset((2, 2, 2))
+    results = tr.run_dse(ds, candidates, dse_cfg=DseConfig(cs_floor=0.9), jobs=1)
+    assert [(tuple(r.topology), r.ortho_lambda) for r in results] == ranked
+    assert started == ranked  # no task of the later group starts
+    assert tr.dse_select(results, 0.9).ortho_lambda == 0.001
+
+    # two workers: the wave after the survivor is cut at the group's end
+    started.clear()
+    assert tr.run_dse(ds, candidates, dse_cfg=DseConfig(cs_floor=0.9), jobs=2) == results
+    assert waves == [ranked[:2], ranked[2:]]
+    assert started == ranked
+    # four workers start the later group in the same wave; its result is dropped
+    assert tr.run_dse(ds, candidates, dse_cfg=DseConfig(cs_floor=0.9), jobs=4) == results
+    assert waves[-1] == ranked + [(high, 0.01)]
+    # with the stop off, every candidate runs, in rank order
+    full = tr.run_dse(ds, candidates, dse_cfg=DseConfig(cs_floor=0.9), exhaustive=True)
+    assert [(tuple(r.topology), r.ortho_lambda) for r in full] == ranked + [(high, 0.01)]
 
 
 def _fake_result(topology, rf, cs_mean, cs_ci_low, complexity_override=None):
