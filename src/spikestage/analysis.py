@@ -201,22 +201,20 @@ def metrics_report(cm: ConfusionMatrix) -> dict:
     }
 
 
-def write_trace_csv(path, samples, trace, events, limit: int | None = None) -> None:
+def write_trace_csv(path, samples, trace, limit: int | None = None) -> None:
     """Dump per-tick detector internals for plotting.
 
-    Columns: tick, raw sample, smoothed sample, smoothed energy, threshold
-    (0 until convergence), and the class name of any event whose detection
-    timestamp falls on the tick.
+    Columns: tick, raw sample, smoothed sample, smoothed energy, and
+    threshold (0 until convergence).
     """
     n = len(samples) if limit is None else min(limit, len(samples))
-    marks = {e.timestamp: e.klass.name for e in events}
     converged = trace.converged_tick
     # plain floats: csv writes them with repr, which round-trips through float()
     y, y_neo = trace.y[:n].tolist(), trace.y_neo[:n].tolist()
     threshold = float(trace.threshold)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["tick", "raw", "smoothed", "energy", "threshold", "event"])
+        writer.writerow(["tick", "raw", "smoothed", "energy", "threshold"])
         for i in range(n):
             thr = threshold if converged is not None and i >= converged else 0.0
-            writer.writerow([i, int(samples[i]), y[i], y_neo[i], thr, marks.get(i, "")])
+            writer.writerow([i, int(samples[i]), y[i], y_neo[i], thr])

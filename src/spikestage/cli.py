@@ -43,15 +43,19 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: numpy's generators take non-negative seeds only."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
-    return value
+def _at_least(least: int):
+    """argparse type of an integer flag with a lower bound (a seed's is 0: numpy's rule)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, not {text!r}")
+        return value
+
+    return parse
 
 
 def _emit(doc: dict) -> None:
@@ -104,7 +108,7 @@ def cmd_detect(args, cfg) -> int:
     trace = detector.detector_trace(samples, cfg.detector)
     candidates = detector.detection_candidates(trace)
     if args.trace is not None:
-        analysis.write_trace_csv(args.trace, samples, trace, [], limit=args.trace_limit)
+        analysis.write_trace_csv(args.trace, samples, trace, limit=args.trace_limit)
     _emit(
         {
             "samples": len(samples),
@@ -341,13 +345,13 @@ def build_parser() -> _Parser:
     p = add("generate", cmd_generate, "synthesize a recording and annotations")
     p.add_argument("--out", required=True, help="output recording file")
     p.add_argument("--annotations", required=True, help="output annotations CSV")
-    p.add_argument("--seed", type=_seed, default=None, help="override recording.seed")
+    p.add_argument("--seed", type=_at_least(0), default=None, help="override recording.seed")
     p.add_argument("--duration-s", type=float, default=None, help="override recording.duration_s")
 
     p = add("detect", cmd_detect, "run the detector over a recording")
     p.add_argument("--in", dest="infile", required=True, help="input recording file")
     p.add_argument("--trace", default=None, help="write per-tick trace CSV here")
-    p.add_argument("--trace-limit", type=int, default=None, help="cap trace rows")
+    p.add_argument("--trace-limit", type=_at_least(0), default=None, help="cap trace rows")
 
     p = add("build-dataset", cmd_build_dataset, "capture and label waveforms")
     p.add_argument("--in", dest="infile", required=True, help="input recording file")
@@ -361,7 +365,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True, help="dataset JSONL")
     p.add_argument("--topology", required=True, help="layer sizes, e.g. 40,8,8,3,3,3")
     p.add_argument("--out", required=True, help="output model JSON")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--ortho-lambda", type=float, default=None, help="override train.ortho_lambda")
     p.add_argument("--log", default=None, help="write per-epoch JSONL log here")
 
@@ -373,8 +377,8 @@ def build_parser() -> _Parser:
     p = add("dse", cmd_dse, "architecture search by cross-validation")
     p.add_argument("--dataset", required=True, help="dataset JSONL")
     p.add_argument("--grid", choices=("table3", "full"), default="table3")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--jobs", type=_at_least(1), default=1, help="parallel worker processes")
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument(
         "--exhaustive",
         action="store_true",

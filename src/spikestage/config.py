@@ -158,8 +158,8 @@ class TrainConfig:
         _check_fields(self)
         if self.epochs < 1 or self.patience < 1 or self.batch_size < 1:
             raise ValidationError("epochs, patience, and batch_size must be positive")
-        if not 0.0 <= self.val_fraction < 1.0 or not 0.0 <= self.test_fraction < 1.0:
-            raise ValidationError("fractions must be in [0, 1)")
+        if not (0.0 <= self.val_fraction < 1.0 and 0.0 < self.test_fraction < 1.0):
+            raise ValidationError("need 0 <= val_fraction < 1 and 0 < test_fraction < 1")
         if self.learning_rate <= 0:
             raise ValidationError("learning_rate must be positive")
         if self.ortho_lambda < 0:
@@ -168,9 +168,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class DseConfig:
-    # (lo, hi) size range of each hidden layer; their count is the deepest search
+    # (lo, hi) size range of each hidden layer, none wider than the one before;
+    # their count is the deepest search
     hidden_ranges: tuple[tuple[int, int], ...] = ((1, 40), (1, 20), (1, 10), (1, 10))
-    descending_sizes: bool = True  # hidden sizes must be non-increasing
     folds: int = 10
     cs_floor: float = 0.90  # CS accuracy CI lower bound must exceed this
     confidence: float = 0.95

@@ -333,11 +333,6 @@ def cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return _softmax_terms(logits, y, np.arange(len(y)))[2]
 
 
-def ortho_penalty(model: MlpModel) -> float:
-    """Sum over layers of ||W^T W - I||_F^2."""
-    return _penalty(_gram_deviation(layer.weights) for layer in model.layers)
-
-
 def _param_views(model: MlpModel, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weights, biases) views of one flat buffer, shaped like the model's layers.
 
@@ -560,11 +555,23 @@ class ClassStats:
 
 
 @dataclass
-class CrossValResult:
+class DseResult:
+    """One cross-validated candidate: a topology trained at one ortho_lambda."""
+
     topology: list
-    folds: int
+    ortho_lambda: float
+    complexity: int
     per_class: dict  # SpikeClass -> ClassStats
-    matrices: list  # per-fold ConfusionMatrix
+    # per-fold ConfusionMatrix; left out of ==, which cannot compare their arrays
+    matrices: list = field(default_factory=list, compare=False)
+
+    @property
+    def cs_ci_low(self) -> float:
+        return self.per_class[SpikeClass.CS].ci_low
+
+    def survives(self, cs_floor: float) -> bool:
+        """The selection rule: the CS CI lower bound lies strictly above the floor."""
+        return self.cs_ci_low > cs_floor
 
 
 def cross_validate(
@@ -574,7 +581,7 @@ def cross_validate(
     folds: int = 10,
     seed: int = 0,
     confidence: float = 0.95,
-) -> CrossValResult:
+) -> DseResult:
     """Stratified k-fold CV of the full train-and-quantize recipe.
 
     Per fold: balance and outlier-filter the training part (never the held
@@ -610,8 +617,8 @@ def cross_validate(
             ci_high=mean + z * se,
             fold_values=arr.tolist(),
         )
-    return CrossValResult(
-        topology=list(topology), folds=folds, per_class=per_class, matrices=matrices
+    return DseResult(
+        list(topology), train_cfg.ortho_lambda, complexity(topology), per_class, matrices
     )
 
 
@@ -619,31 +626,14 @@ def cross_validate(
 # Design-space exploration
 
 
-@dataclass
-class DseResult:
-    topology: list
-    ortho_lambda: float
-    complexity: int
-    per_class: dict  # SpikeClass -> ClassStats
-
-    @property
-    def cs_ci_low(self) -> float:
-        return self.per_class[SpikeClass.CS].ci_low
-
-    def survives(self, cs_floor: float) -> bool:
-        """The selection rule: the CS CI lower bound lies strictly above the floor."""
-        return self.cs_ci_low > cs_floor
-
-
 def full_grid(cfg: DseConfig):
-    """Yield every (topology, ortho_lambda) pair allowed by the ranges."""
+    """Yield every (topology, ortho_lambda) pair the ranges allow, hidden sizes non-increasing."""
 
     def hidden_layers(depth: int, prev: int, chosen: tuple):
         if depth == len(cfg.hidden_ranges):
             return
         lo, hi = cfg.hidden_ranges[depth]
-        cap = min(hi, prev) if cfg.descending_sizes else hi
-        for size in range(lo, cap + 1):
+        for size in range(lo, min(hi, prev) + 1):
             yield chosen + (size,)
             yield from hidden_layers(depth + 1, size, chosen + (size,))
 
@@ -653,18 +643,6 @@ def full_grid(cfg: DseConfig):
     for topology in topologies:
         for rf in cfg.ortho_lambdas:
             yield topology, rf
-
-
-def _dse_task(args):
-    dataset, topology, rf, train_cfg, folds, seed, confidence = args
-    cfg = replace(train_cfg, ortho_lambda=rf)
-    result = cross_validate(dataset, topology, cfg, folds=folds, seed=seed, confidence=confidence)
-    return DseResult(
-        topology=list(topology),
-        ortho_lambda=rf,
-        complexity=complexity(topology),
-        per_class=result.per_class,
-    )
 
 
 def dse_rank(cost: int, topology) -> tuple:
@@ -703,19 +681,25 @@ def run_dse(
     groups: dict[tuple, list] = {}
     for topology, rf in candidates:
         groups.setdefault(tuple(topology), []).append(rf)
-    tasks, group_end = [], []  # group_end[i]: index just past task i's group
+    topologies, cfgs, group_end = [], [], []  # group_end[i]: index just past task i's group
     for topology in sorted(groups, key=lambda t: dse_rank(complexity(t), t)):
         for rf in groups[topology]:
-            tasks.append((dataset, topology, rf, train_cfg, dse_cfg.folds, seed, dse_cfg.confidence))
-        group_end += [len(tasks)] * len(groups[topology])
-    jobs = max(1, min(jobs, len(tasks)))  # a fork pool starts all its workers at once
-    stop = len(tasks)
+            topologies.append(topology)
+            cfgs.append(replace(train_cfg, ortho_lambda=rf))
+        group_end += [len(topologies)] * len(groups[topology])
+    # built here, from the module global, so that a replaced cross_validate is the one called
+    task = functools.partial(
+        cross_validate, dataset, folds=dse_cfg.folds, seed=seed, confidence=dse_cfg.confidence
+    )
+    jobs = max(1, min(jobs, len(topologies)))  # a fork pool starts all its workers at once
+    stop = len(topologies)
     results: list[DseResult] = []
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         run = map if pool is None else pool.map
         while len(results) < stop:
             start = len(results)
-            results += run(_dse_task, tasks[start : min(start + jobs, stop)])
+            wave = slice(start, min(start + jobs, stop))
+            results += run(task, topologies[wave], cfgs[wave])
             if not exhaustive:
                 for k in range(start, len(results)):
                     if results[k].survives(dse_cfg.cs_floor):

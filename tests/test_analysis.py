@@ -307,14 +307,12 @@ def test_write_trace_csv(tmp_path):
     rng = np.random.default_rng(3)
     samples = rng.normal(0.0, 10.0, size=9000)
     trace = det.detector_trace(samples, DetectorConfig())
-    events = [ev(7000, SpikeClass.CS)]
     path = tmp_path / "trace.csv"
-    an.write_trace_csv(path, samples, trace, events, limit=8000)
+    an.write_trace_csv(path, samples, trace, limit=8000)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["tick", "raw", "smoothed", "energy", "threshold", "event"]
+    assert rows[0] == ["tick", "raw", "smoothed", "energy", "threshold"]
     assert len(rows) == 8001
-    assert rows[7001][5] == "CS"
     converged = trace.converged_tick
     assert converged is not None and converged < 7999  # rows on both sides of it
     for i, row in enumerate(rows[1:]):

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -127,10 +128,12 @@ def test_run_output(chain):
     assert len(events) == rep["events_stored"]
     assert all(e.klass in (SpikeClass.SS, SpikeClass.CS) for e in events)
 
-    csv_events = pipeline.read_events_csv(p["events_csv"])
-    assert len(csv_events) == stats["classify_invocations"]
-    assert sum(1 for e in csv_events if e.klass is SpikeClass.F) > 0
-    kept = [(e.timestamp, e.klass) for e in csv_events if e.klass is not SpikeClass.F]
+    with open(p["events_csv"], newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["timestamp", "class"]
+    assert len(rows) == stats["classify_invocations"]
+    assert sum(1 for _, klass in rows if klass == "F") > 0
+    kept = [(int(t), SpikeClass[klass]) for t, klass in rows if klass != "F"]
     assert kept == [(e.timestamp, e.klass) for e in events]
 
 
@@ -535,6 +538,24 @@ def test_negative_seeds_exit_1(capsys, tmp_path):
     assert not (tmp_path / "r.spkr").exists()
 
 
+# count flags below their lower bound; --seed's is tested above
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("dse", "--jobs", "0"), ("dse", "--jobs", "-3"), ("detect", "--trace-limit", "-1")],
+)
+def test_out_of_range_count_flags_exit_1(capsys, tmp_path, command, flag, value):
+    required = {
+        "dse": ("--dataset", tmp_path / "ds.jsonl"),
+        "detect": ("--in", tmp_path / "r.spkr", "--trace", tmp_path / "t.csv"),
+    }[command]
+    code = cli.main([str(a) for a in (command, *required, flag, value)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
+    assert flag in err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_values_exit_1(capsys, model_files, value):
     root = model_files
@@ -630,6 +651,7 @@ def test_non_finite_dse_config_exits_1(capsys, tmp_path, literal):
         {"dse": {"hidden_ranges": [[5, 2]]}},
         {"resources": {"storage_capacity_bytes": -1}},
         {"dse": {"ortho_lambdas": []}},
+        {"train": {"test_fraction": 0}},  # train_test_split needs a held-out part
     ],
 )
 def test_malformed_config_value_exits_1(capsys, tmp_path, doc):

@@ -26,7 +26,7 @@ from spikestage.errors import ValidationError
         (DseConfig, "hidden_ranges", ((1,), (1, 2))),
         (DseConfig, "hidden_ranges", [(1, 2)]),
         (DseConfig, "ortho_lambdas", (0.01, True)),
-        (DseConfig, "descending_sizes", 1),
+        (TrainConfig, "test_fraction", 0),  # an int for a float, but outside (0, 1)
         (DetectorConfig, "alpha_signal", None),
         (ResourceModel, "detector_energy_basis", None),
         (SynthesisParams, "offset", False),

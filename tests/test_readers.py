@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikestage import cli, nn, pipeline, signal, store
+from spikestage import cli, nn, signal, store
 from spikestage import train as tr
 from spikestage.config import RecordingConfig
 from spikestage.errors import SpikestageError
@@ -26,7 +26,6 @@ READERS = {
     "float_model": nn.load_model,
     "quantized_model": nn.load_model,
     "event_log": store.read_event_log,
-    "events_csv": pipeline.read_events_csv,
 }
 
 
@@ -57,9 +56,6 @@ def valid_files(tmp_path_factory):
             ),
         ),
         "event_log": lambda p: store.write_event_log(p, events, 24414.0),
-        "events_csv": lambda p: pipeline.write_events_csv(
-            p, events + [store.EventRecord(120, SpikeClass.F)]
-        ),
     }
     files = {}
     for name, write in writers.items():

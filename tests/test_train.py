@@ -349,7 +349,15 @@ def test_loss_composes_ce_plus_ortho():
     y = rng.integers(0, 3, size=8)
     base, _ = tr.loss_and_grads(model, X, y, 0.0)
     total, _ = tr.loss_and_grads(model, X, y, 0.5)
-    assert math.isclose(total - base, 0.5 * tr.ortho_penalty(model), rel_tol=1e-12)
+    # sum over layers of ||W^T W - I||_F^2, each term written out
+    penalty = 0.0
+    for layer in model.layers:
+        w = layer.weights
+        gram = w.T @ w
+        for i in range(gram.shape[0]):
+            for j in range(gram.shape[1]):
+                penalty += (gram[i, j] - (i == j)) ** 2
+    assert math.isclose(total - base, 0.5 * penalty, rel_tol=1e-12)
 
 
 def test_zero_model_gradients_follow_class_frequencies():
@@ -370,12 +378,19 @@ def test_zero_model_gradients_follow_class_frequencies():
 
 
 def test_ortho_penalty_zero_for_orthonormal_columns():
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(6, 3))
+    y = rng.integers(0, 4, size=6)
+
+    def penalty(model):  # the loss the penalty adds at lambda = 1
+        return tr.loss_and_grads(model, X, y, 1.0)[0] - tr.loss_and_grads(model, X, y, 0.0)[0]
+
     # tall layer whose 3 columns are orthonormal in R^4
     eye = nn.MlpModel([nn.Layer(np.eye(4, 3), np.zeros(4), "linear")])
-    assert tr.ortho_penalty(eye) == 0.0
+    assert penalty(eye) == 0.0
     skewed = nn.MlpModel([nn.Layer(2.0 * np.eye(4, 3), np.zeros(4), "linear")])
     # gram becomes 4I, so each diagonal entry contributes (4-1)^2
-    assert math.isclose(tr.ortho_penalty(skewed), 27.0, rel_tol=1e-12)
+    assert math.isclose(penalty(skewed), 27.0, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +659,9 @@ def test_cross_validate_deterministic_and_consistent():
     ds = make_cluster_dataset((20, 20, 20), seed=5)
     r1 = tr.cross_validate(ds, (40, 4, 3), _quick_cfg(), folds=2, seed=3)
     r2 = tr.cross_validate(ds, (40, 4, 3), _quick_cfg(), folds=2, seed=3)
-    assert r1.folds == 2 and r1.topology == [40, 4, 3]
+    assert r1.topology == [40, 4, 3] and len(r1.matrices) == 2
+    assert r1.ortho_lambda == _quick_cfg().ortho_lambda
+    assert r1.complexity == 40 * 4 + 4 * 3
     for klass in SpikeClass:
         a, b = r1.per_class[klass], r2.per_class[klass]
         assert a.fold_values == b.fold_values
@@ -677,7 +694,8 @@ def in_process_pool(pools, waves=None):
     """A stand-in for ProcessPoolExecutor that maps in-process.
 
     Each pool appends its worker count to `pools`; each `map` call appends
-    its (topology, ortho_lambda) tasks to `waves`.
+    its (topology, ortho_lambda) tasks to `waves`.  Tasks are mapped as
+    (fn, topologies, train configs), the way run_dse calls the pool.
     """
 
     class SerialPool:
@@ -690,10 +708,10 @@ def in_process_pool(pools, waves=None):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, topologies, cfgs):
             if waves is not None:
-                waves.append([(task[1], task[2]) for task in tasks])
-            return map(fn, tasks)
+                waves.append([(t, cfg.ortho_lambda) for t, cfg in zip(topologies, cfgs)])
+            return map(fn, topologies, cfgs)
 
     return SerialPool
 
@@ -785,7 +803,7 @@ def test_run_dse_finishes_the_first_survivor_group_and_stops(monkeypatch):
         started.append((topology, cfg.ortho_lambda))
         ci = cs_ci_low[(topology, cfg.ortho_lambda)]
         per = {k: tr.ClassStats(0.95, 0.01, ci, 0.99, [0.95]) for k in SpikeClass}
-        return tr.CrossValResult(list(topology), folds, per, [])
+        return tr.DseResult(list(topology), cfg.ortho_lambda, tr.complexity(topology), per)
 
     waves = []
     monkeypatch.setattr(tr, "cross_validate", fake_cross_validate)
@@ -868,18 +886,6 @@ def test_full_grid_enumeration():
         (40, 3, 2, 3),
     }
     assert grid == {(t, 0.01) for t in expected_topologies}
-
-    free = DseConfig(
-        hidden_ranges=((1, 1), (1, 2)),
-        descending_sizes=False,
-        ortho_lambdas=(0.01,),
-    )
-    assert {t for t, _ in tr.full_grid(free)} == {
-        (40, 3),
-        (40, 1, 3),
-        (40, 1, 1, 3),
-        (40, 1, 2, 3),
-    }
 
 
 def test_config_validation():
