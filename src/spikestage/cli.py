@@ -19,6 +19,10 @@ reads once, before the command runs; spikestage.config holds its format and
 rules.  Exit codes: 0 success, 1 invalid arguments or config, 2 malformed or
 unreadable file, 3 no feasible result.  JSON on stdout is strict: a result
 holding NaN or an infinity exits 1 unprinted.
+
+The modules that pull in scipy (detector, pipeline, train) are imported
+inside the commands that run them, so report, metrics, postprocess and
+generate start without it.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import sys
 
 import numpy as np
 
-from . import analysis, detector, nn, pipeline, signal, store, train
+# detector, pipeline and train load scipy: import them inside the commands that run them
+from . import analysis, nn, signal, store
 from .config import config_help, load_config
 from .errors import FormatError, InfeasibleError, SpikestageError, ValidationError
 
@@ -104,6 +109,8 @@ def cmd_generate(args, cfg) -> int:
 
 
 def cmd_detect(args, cfg) -> int:
+    from . import detector
+
     samples, rec_cfg = signal.read_recording(args.infile)
     trace = detector.detector_trace(samples, cfg.detector)
     candidates = detector.detection_candidates(trace)
@@ -123,6 +130,8 @@ def cmd_detect(args, cfg) -> int:
 
 
 def cmd_build_dataset(args, cfg) -> int:
+    from . import train
+
     samples, rec_cfg = signal.read_recording(args.infile)
     annotations = signal.read_annotations(args.annotations)
     dataset = train.build_dataset(
@@ -140,6 +149,8 @@ def cmd_build_dataset(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
+    from . import train
+
     tcfg = cfg.train
     if args.ortho_lambda is not None:
         tcfg = dataclasses.replace(tcfg, ortho_lambda=args.ortho_lambda)
@@ -166,6 +177,8 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_quantize(args, cfg) -> int:
+    from . import train
+
     model = nn.load_model(args.model)
     if isinstance(model, nn.QuantizedMlpModel):
         raise ValidationError(f"{args.model}: model is already quantized")
@@ -189,6 +202,8 @@ def cmd_quantize(args, cfg) -> int:
 
 
 def cmd_dse(args, cfg) -> int:
+    from . import train
+
     dataset = train.load_dataset(args.dataset)
     if args.grid == "table3":
         candidates = list(train.TABLE3_GRID)
@@ -251,6 +266,8 @@ def cmd_dse(args, cfg) -> int:
 
 
 def cmd_run(args, cfg) -> int:
+    from . import pipeline
+
     samples, rec_cfg = signal.read_recording(args.infile)
     if len(samples) > store.MAX_TIMESTAMP + 1:
         raise ValidationError(
