@@ -201,20 +201,26 @@ def metrics_report(cm: ConfusionMatrix) -> dict:
     }
 
 
-def write_trace_csv(path, samples, trace, limit: int | None = None) -> None:
+def write_trace_csv(path, samples, trace, det_cfg, limit: int | None = None) -> None:
     """Dump per-tick detector internals for plotting.
 
     Columns: tick, raw sample, smoothed sample, smoothed energy, and
-    threshold (0 until convergence).
+    threshold (0 until convergence).  The smoothed columns are computed
+    again over the rows written, one detector block at a time: the filters
+    are causal, so a prefix gives the values of the full pass.
     """
+    from . import detector  # scipy: only detect --trace writes this file
+
     n = len(samples) if limit is None else min(limit, len(samples))
-    converged = trace.converged_tick
-    # plain floats: csv writes them with repr, which round-trips through float()
-    y, y_neo = trace.y[:n].tolist(), trace.y_neo[:n].tolist()
+    converged = n if trace.converged_tick is None else trace.converged_tick
     threshold = float(trace.threshold)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tick", "raw", "smoothed", "energy", "threshold"])
-        for i in range(n):
-            thr = threshold if converged is not None and i >= converged else 0.0
-            writer.writerow([i, int(samples[i]), y[i], y_neo[i], thr])
+        for start, y, y_neo in detector.smoothed_blocks(samples[:n], det_cfg):
+            stop = start + len(y)
+            zeros = min(max(converged - start, 0), len(y))
+            thresholds = [0.0] * zeros + [threshold] * (len(y) - zeros)
+            raw = map(int, samples[start:stop].tolist())
+            # plain floats: csv writes them with repr, which round-trips through float()
+            writer.writerows(zip(range(start, stop), raw, y.tolist(), y_neo.tolist(), thresholds))

@@ -115,7 +115,7 @@ def cmd_detect(args, cfg) -> int:
     trace = detector.detector_trace(samples, cfg.detector)
     candidates = detector.detection_candidates(trace)
     if args.trace is not None:
-        analysis.write_trace_csv(args.trace, samples, trace, limit=args.trace_limit)
+        analysis.write_trace_csv(args.trace, samples, trace, cfg.detector, limit=args.trace_limit)
     _emit(
         {
             "samples": len(samples),

@@ -23,8 +23,10 @@ run_pipeline computes the identical result from whole-stream array passes
 and is what the CLI uses; capture_detections shares its capture path
 (detector pass, honored spacing, complete captures, gather) so training
 data is captured exactly as deployed.  Both paths quantize captures with
-the one quantize_capture_array.  The pipeline is single-threaded by
-construction; instances must not be shared.
+the detector's one quantize_capture_array: Pipeline.step when it
+classifies, detector_trace for every sample, so the array paths read
+captures straight from the trace's int8 codes.  The pipeline is
+single-threaded by construction; instances must not be shared.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import detector as det
 from .config import DetectorConfig
 from .errors import ValidationError
 from .nn import (
-    ACT_QMAX,
-    ACT_QMIN,
     NUM_CLASSES,
     WAVEFORM_SAMPLES,
     QuantizedMlpModel,
@@ -78,17 +79,6 @@ class RunStats:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def quantize_capture_array(y) -> np.ndarray:
-    """Smoothed samples -> stored int8 counts: divide by 4, floor, clamp.
-
-    The divide-by-4 drops the two least significant bits of a 10-bit ADC
-    value, which is a floor toward minus infinity in two's complement.
-    """
-    return np.clip(np.floor(np.asarray(y, dtype=np.float64) * 0.25), ACT_QMIN, ACT_QMAX).astype(
-        np.int8
-    )
 
 
 def _check_latency(classify_ticks: int) -> None:
@@ -178,7 +168,7 @@ class Pipeline:
         return event
 
     def _classify(self) -> EventRecord:
-        waveform = quantize_capture_array(self._buffer)
+        waveform = det.quantize_capture_array(self._buffer)
         logits = infer_quantized_batch(self.model, waveform[None, :])[0]
         klass = SpikeClass(int(np.argmax(logits)))
         stats = self.stats
@@ -234,8 +224,10 @@ def _capture_path(samples, det_cfg, classify_ticks):
 
 
 def _gather(trace: det.DetectorTrace, ticks: np.ndarray) -> np.ndarray:
-    """int8 captures: the quantized smoothed samples t+1..t+40 of each tick."""
-    return quantize_capture_array(trace.y[ticks[:, None] + np.arange(1, WAVEFORM_SAMPLES + 1)])
+    """int8 captures: the codes of the smoothed samples t+1..t+40 of each tick."""
+    if len(trace.codes) < WAVEFORM_SAMPLES:  # no window, and no complete capture
+        return np.empty((0, WAVEFORM_SAMPLES), dtype=np.int8)
+    return sliding_window_view(trace.codes, WAVEFORM_SAMPLES)[ticks + 1]
 
 
 def capture_detections(

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
 import struct
 from typing import NamedTuple
 
@@ -176,10 +178,16 @@ def read_recording(path) -> tuple[np.ndarray, RecordingConfig]:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != RECORDING_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        payload = fh.read()
-    if len(payload) % 2:
-        raise FormatError(f"{path}: odd payload length")
-    samples = np.frombuffer(payload, dtype="<i2").astype(np.int16)
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no length to size the array by
+            raise FormatError(f"{path}: not a regular file")
+        payload = info.st_size - _HEADER.size
+        if payload % 2:
+            raise FormatError(f"{path}: odd payload length")
+        # one array, filled in place: no second copy of the payload
+        samples = np.empty(payload // 2, dtype="<i2")
+        if fh.readinto(samples) != payload:
+            raise FormatError(f"{path}: truncated payload")
     try:
         cfg = RecordingConfig(
             sample_rate_hz=sample_rate_hz,

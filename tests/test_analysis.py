@@ -303,12 +303,16 @@ def test_match_events_matches_naive(ann_ticks, ev_ticks, data, rate_tol):
 # Trace CSV
 
 
-def test_write_trace_csv(tmp_path):
+def test_write_trace_csv(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     samples = rng.normal(0.0, 10.0, size=9000)
-    trace = det.detector_trace(samples, DetectorConfig())
+    cfg = DetectorConfig()
+    trace = det.detector_trace(samples, cfg)
+    y = det.smooth(samples, cfg.alpha_signal)
+    y_neo = det.smooth(det.neo_stream(y), cfg.alpha_neo)
+    monkeypatch.setattr(det, "CHUNK", 1000)  # block edges inside the rows written
     path = tmp_path / "trace.csv"
-    an.write_trace_csv(path, samples, trace, limit=8000)
+    an.write_trace_csv(path, samples, trace, cfg, limit=8000)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["tick", "raw", "smoothed", "energy", "threshold"]
@@ -317,8 +321,14 @@ def test_write_trace_csv(tmp_path):
     assert converged is not None and converged < 7999  # rows on both sides of it
     for i, row in enumerate(rows[1:]):
         assert int(row[0]) == i and int(row[1]) == int(samples[i])
-        # every numeric cell parses as a plain float, exactly the trace value
-        assert float(row[2]) == trace.y[i]
-        assert float(row[3]) == trace.y_neo[i]
+        # every numeric cell parses as a plain float, exactly the one-pass value
+        assert float(row[2]) == y[i]
+        assert float(row[3]) == y_neo[i]
         # threshold reported as 0 before convergence
         assert float(row[4]) == (trace.threshold if i >= converged else 0.0)
+
+    # without a limit every tick is written, and the limited file is its prefix
+    an.write_trace_csv(tmp_path / "full.csv", samples, trace, cfg)
+    full = (tmp_path / "full.csv").read_bytes()
+    assert full.startswith(path.read_bytes())
+    assert full.count(b"\n") == len(samples) + 1

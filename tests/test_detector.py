@@ -67,6 +67,11 @@ def test_streaming_neo_equals_batch():
         assert np.array_equal(streamed, det.neo_stream(x))
 
 
+def smoothed_energy(x, cfg):
+    """The smoothed energy of a whole stream, from one call of each array primitive."""
+    return det.smooth(det.neo_stream(det.smooth(x, cfg.alpha_signal)), cfg.alpha_neo)
+
+
 def test_trace_matches_step_loop_bitexact(recording):
     samples, _, _ = recording
     x = samples[:60000].astype(np.float64)
@@ -74,17 +79,24 @@ def test_trace_matches_step_loop_bitexact(recording):
     trace = det.detector_trace(x, cfg)
 
     state = det.DetectorState()
+    y = np.empty_like(x)
     y_neo = np.empty_like(x)
+    fired = np.zeros(len(x), dtype=bool)
     converged_tick = None
     frozen = 0.0
     for i, v in enumerate(x):
-        det.detector_step(state, cfg, v, update_threshold_enabled=converged_tick is None)
+        detected = det.detector_step(state, cfg, v, update_threshold_enabled=converged_tick is None)
+        y[i] = state.y_signal
         y_neo[i] = state.y_neo
+        fired[i] = detected and converged_tick is not None  # the latching tick is calibration
         if converged_tick is None and state.converged:
             converged_tick = i
             frozen = state.threshold
 
-    assert np.array_equal(y_neo, trace.y_neo)
+    assert np.array_equal(y, det.smooth(x, cfg.alpha_signal))
+    assert np.array_equal(y_neo, smoothed_energy(x, cfg))
+    assert np.array_equal(trace.codes, det.quantize_capture_array(y))
+    assert det.detection_candidates(trace).tolist() == np.flatnonzero(fired).tolist()
     assert converged_tick == trace.converged_tick
     assert frozen == trace.threshold
 
@@ -154,7 +166,10 @@ def convergence_streams(draw):
 def test_trace_convergence_matches_oracle(stream, window, clip):
     cfg = DetectorConfig(convergence_window=window, neo_clip_ratio=clip)
     trace = det.detector_trace(stream, cfg)
-    assert converge_oracle(trace.y_neo, cfg) == (trace.converged_tick, trace.threshold)
+    assert converge_oracle(smoothed_energy(stream, cfg), cfg) == (
+        trace.converged_tick,
+        trace.threshold,
+    )
     if trace.converged_tick is not None:
         # the energy stream starts at 0, so tick 2 is the first quiet one
         assert trace.converged_tick >= window + 1
@@ -165,11 +180,13 @@ def test_scale_covariance(recording):
     x = samples[:40000].astype(np.float64)
     s = 7.3
     cfg = DetectorConfig()
+    y1, y2 = det.smooth(x, cfg.alpha_signal), det.smooth(s * x, cfg.alpha_signal)
+    assert np.max(np.abs(y2 - s * y1)) < 1e-9 * s * np.max(np.abs(y1))
+    scale = s * s
+    e1, e2 = smoothed_energy(x, cfg), smoothed_energy(s * x, cfg)
+    assert np.max(np.abs(e2 - scale * e1)) < 1e-9 * scale * np.max(np.abs(e1))
     t1 = det.detector_trace(x, cfg)
     t2 = det.detector_trace(s * x, cfg)
-    assert np.max(np.abs(t2.y - s * t1.y)) < 1e-9 * s * np.max(np.abs(t1.y))
-    scale = s * s
-    assert np.max(np.abs(t2.y_neo - scale * t1.y_neo)) < 1e-9 * scale * np.max(np.abs(t1.y_neo))
     assert t2.converged_tick == t1.converged_tick
     assert abs(t2.threshold - scale * t1.threshold) < 1e-9 * scale * t1.threshold
 
@@ -221,11 +238,12 @@ def test_reconvergence_tracks_scale_change():
 
 def test_detection_candidates_are_post_convergence(recording):
     samples, _, _ = recording
-    trace = det.detector_trace(samples[:200000].astype(np.float64), DetectorConfig())
+    x = samples[:200000].astype(np.float64)
+    trace = det.detector_trace(x, DetectorConfig())
     cands = det.detection_candidates(trace)
     assert len(cands) > 0
     assert cands.min() > trace.converged_tick
-    assert np.all(trace.y_neo[cands] > trace.threshold)
+    assert np.all(smoothed_energy(x, DetectorConfig())[cands] > trace.threshold)
 
 
 def test_no_candidates_without_convergence():

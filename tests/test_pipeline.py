@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from spikestage import detector as det
 from spikestage import nn
 from spikestage import pipeline as pl
-from spikestage import store
-from spikestage.config import DetectorConfig
+from spikestage import signal, store
+from spikestage.config import DetectorConfig, RecordingConfig, SynthesisParams
 from spikestage.errors import ValidationError
 from spikestage.nn import SpikeClass
 
@@ -78,10 +79,10 @@ def test_quantize_capture_floor_semantics():
         600.0: 127,
         -600.0: -128,
     }
-    assert pl.quantize_capture_array(list(hand)).tolist() == list(hand.values())
+    assert det.quantize_capture_array(list(hand)).tolist() == list(hand.values())
 
     sweep = np.arange(-700.0, 700.0, 0.37)
-    packed = pl.quantize_capture_array(sweep)
+    packed = det.quantize_capture_array(sweep)
     assert packed.dtype == np.int8
     assert packed.tolist() == [naive_quantize(v) for v in sweep]
 
@@ -171,10 +172,9 @@ def test_capture_detections_matches_run(ten_seconds, trained):
     ticks, waveforms, trace = pl.capture_detections(ten_seconds)
     n = len(ten_seconds)
     assert waveforms.shape == (len(ticks), 40) and waveforms.dtype == np.int8
+    y = det.smooth(ten_seconds, DetectorConfig().alpha_signal)
     for i, t in enumerate(ticks[:25]):
-        assert np.array_equal(
-            waveforms[i], pl.quantize_capture_array(trace.y[t + 1 : t + 41])
-        )
+        assert np.array_equal(waveforms[i], det.quantize_capture_array(y[t + 1 : t + 41]))
     classified = ticks[ticks + 41 <= n - 1]
     events, stats = pl.run_pipeline(ten_seconds, qmodel)
     assert [e.timestamp for e in events] == classified.tolist()
@@ -214,15 +214,16 @@ def pulsed_streams(draw):
 
 
 def check_capture_path(stream, det_cfg, classify_ticks):
-    """run_pipeline equals Pipeline.step, and equals classifying capture_detections."""
+    """run_pipeline equals Pipeline.step, naive_fsm and classifying capture_detections."""
     step = pl.Pipeline(SMALL_MODEL, det_cfg, classify_ticks=classify_ticks)
     step_events = step.run(stream)
     events, stats = pl.run_pipeline(stream, SMALL_MODEL, det_cfg, classify_ticks=classify_ticks)
     assert events == step_events
     assert stats.to_dict() == step.stats.to_dict()
+    assert (events, stats.converged_tick) == naive_fsm(stream, SMALL_MODEL, det_cfg, classify_ticks)
 
     # a capture is classified on the tick after its last sample
-    ticks, waveforms, _ = pl.capture_detections(stream, det_cfg, classify_ticks=classify_ticks)
+    ticks, waveforms, trace = pl.capture_detections(stream, det_cfg, classify_ticks=classify_ticks)
     keep = ticks + nn.WAVEFORM_SAMPLES + 1 <= len(stream) - 1
     klasses = nn.infer_quantized_batch(SMALL_MODEL, waveforms[keep]).argmax(axis=1)
     assert stats.classify_invocations == int(keep.sum())
@@ -230,17 +231,58 @@ def check_capture_path(stream, det_cfg, classify_ticks):
         store.EventRecord(int(t), SpikeClass(int(k)))
         for t, k in zip(ticks[keep], klasses)
     ]
-    return ticks
+    return ticks, trace
 
 
 @settings(max_examples=60, deadline=None)
-@given(pulsed_streams(), st.integers(1, 45))
-def test_capture_path_matches_step(stream, classify_ticks):
+@given(pulsed_streams(), st.integers(1, 45), st.integers(1, 5000))
+def test_capture_path_matches_step(stream, classify_ticks, chunk):
+    # block edges of the detector pass fall inside the convergence window,
+    # inside captures and inside the classify latency
     det_cfg = DetectorConfig(convergence_window=256)
-    ticks = check_capture_path(stream, det_cfg, classify_ticks)
-    if len(ticks):
-        # cut right after the last capture: complete, never classified
-        check_capture_path(stream[: ticks[-1] + nn.WAVEFORM_SAMPLES + 1], det_cfg, classify_ticks)
+    whole = det.detector_trace(stream, det_cfg)  # one block: streams are shorter than CHUNK
+    saved, det.CHUNK = det.CHUNK, chunk
+    try:
+        ticks, chunked = check_capture_path(stream, det_cfg, classify_ticks)
+        if len(ticks):
+            # cut right after the last capture: complete, never classified
+            cut = stream[: ticks[-1] + nn.WAVEFORM_SAMPLES + 1]
+            check_capture_path(cut, det_cfg, classify_ticks)
+    finally:
+        det.CHUNK = saved
+    assert np.array_equal(chunked.codes, whole.codes)
+    assert np.array_equal(chunked.candidates, whole.candidates)
+    assert (chunked.converged_tick, chunked.threshold) == (whole.converged_tick, whole.threshold)
+
+
+def test_short_streams_match_step():
+    # 0 to 45 samples, shorter than a capture window and up to room for one
+    # classified capture: with a one-tick window the threshold latches at
+    # tick 2, and tick 3 is the first detection
+    stream = np.random.default_rng(43).normal(0.0, 10.0, size=45)
+    for det_cfg in (DetectorConfig(), DetectorConfig(convergence_window=1)):
+        for n in range(len(stream) + 1):
+            step = pl.Pipeline(SMALL_MODEL, det_cfg)
+            step_events = step.run(stream[:n])
+            events, stats = pl.run_pipeline(stream[:n], SMALL_MODEL, det_cfg)
+            assert events == step_events
+            assert stats.to_dict() == step.stats.to_dict()
+    assert len(events) == 1  # the 45-sample stream classifies its capture
+
+
+def test_replay_memory_is_bytes_per_sample():
+    # a normally converging 240 s sparse recording: about 1% of its samples
+    # are candidates, so the trace's int8 codes dominate the peak
+    cfg = RecordingConfig(duration_s=240.0, seed=35)
+    samples, _ = signal.generate_recording(cfg, SynthesisParams(ss_rate_hz=5.0, cs_rate_hz=0.5))
+    tracemalloc.start()
+    try:
+        _, stats = pl.run_pipeline(samples, SMALL_MODEL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.converged_tick < 10_000 and stats.threshold > 100.0
+    assert peak <= 4 * len(samples)
 
 
 def naive_honored(candidates, busy_ticks):

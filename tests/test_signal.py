@@ -1,4 +1,7 @@
+import contextlib
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -38,6 +41,26 @@ def test_recording_rejects_odd_payload(tmp_path, recording):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError):
         signal.read_recording(path)
+
+
+def test_recording_must_be_a_regular_file(tmp_path):
+    path = tmp_path / "rec.bin"
+    signal.write_recording(path, np.zeros(64, dtype=np.int16), RecordingConfig())
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        with pytest.raises(FormatError, match="not a regular file"):
+            signal.read_recording(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_annotations_roundtrip(tmp_path, recording):
