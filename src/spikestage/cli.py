@@ -63,13 +63,17 @@ def _at_least(least: int):
     return parse
 
 
-def _emit(doc: dict) -> None:
-    """Print doc as strict JSON; a NaN or an infinity fails before any byte is written."""
+def _emit(doc: dict, path=None) -> None:
+    """Write doc as strict JSON to stdout or to `path`; NaN or infinity fails before any write."""
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ValidationError(f"result holds a non-finite number ({exc})") from exc
-    sys.stdout.write(text + "\n")
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _parse_topology(text: str) -> tuple:
@@ -250,9 +254,7 @@ def cmd_dse(args, cfg) -> int:
                 "complexity": selected.complexity,
             },
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _emit(doc, args.out)
 
     if selected is None:
         raise InfeasibleError(
@@ -283,9 +285,7 @@ def cmd_run(args, cfg) -> int:
     stored = [e for e in events if e.klass is not nn.SpikeClass.F]
     store.write_event_log(args.out, stored, rec_cfg.sample_rate_hz)
     if args.stats is not None:
-        with open(args.stats, "w", encoding="utf-8") as fh:
-            json.dump(stats.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _emit(stats.to_dict(), args.stats)
     _emit({"events_stored": len(stored), "stats": stats.to_dict()})
     return 0
 

@@ -238,13 +238,13 @@ def capture_detections(
 ):
     """Detection ticks and their 40-sample capture buffers, deployment-timed.
 
-    Returns (ticks, waveforms, trace): one int8 waveform row per honored
-    detection with a complete capture.  Shares run_pipeline's capture path,
+    Returns (ticks, waveforms): one int8 waveform row per honored detection
+    with a complete capture.  Shares run_pipeline's capture path,
     so training data matches what the classifier sees in the field.
     """
     _check_latency(classify_ticks)
     trace, _, complete = _capture_path(samples, det_cfg, classify_ticks)
-    return complete, _gather(trace, complete), trace
+    return complete, _gather(trace, complete)
 
 
 def run_pipeline(

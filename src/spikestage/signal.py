@@ -99,6 +99,9 @@ def generate_recording(
     and the planted spikes sorted by onset.  The same config and params
     always produce the same bytes.
     """
+    # the Poisson draws size their buffers by the expected spike count
+    if params.ss_rate_hz + params.cs_rate_hz > cfg.sample_rate_hz:
+        raise ValidationError("ss_rate_hz + cs_rate_hz exceed one spike per sample")
     rng = np.random.default_rng(cfg.seed)
     n = cfg.num_samples
     fs = cfg.sample_rate_hz

@@ -147,7 +147,7 @@ def build_dataset(
         raise ValidationError("sample_rate_hz must be positive")
     if not (label_window_ms > 0 and math.isfinite(label_window_ms)):
         raise ValidationError("label_window_ms must be positive and finite")
-    ticks, waveforms, _ = pl.capture_detections(samples, det_cfg)
+    ticks, waveforms = pl.capture_detections(samples, det_cfg)
     labels = label_detections(ticks, annotations, label_window_ms * sample_rate_hz / 1000.0)
     return Dataset(waveforms, labels, ticks)
 
@@ -229,6 +229,11 @@ def _class_rows(dataset: Dataset) -> list[np.ndarray]:
     return [np.flatnonzero(dataset.labels == klass) for klass in SpikeClass]
 
 
+def _shuffled_class_rows(dataset: Dataset, rng: np.random.Generator) -> list[np.ndarray]:
+    """_class_rows, each class shuffled by one rng.permutation (an empty one draws nothing)."""
+    return [rows[rng.permutation(len(rows))] for rows in _class_rows(dataset)]
+
+
 def balance_classes(dataset: Dataset, seed: int) -> Dataset:
     """Downsample every class to the minority class count, preserving order."""
     rows = _class_rows(dataset)
@@ -270,12 +275,9 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple
     """Stratified split; both halves keep the original ordering."""
     if not 0.0 < test_fraction < 1.0:
         raise ValidationError("test_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
     held = np.zeros(len(dataset), dtype=bool)
-    for rows in _class_rows(dataset):
-        if len(rows):
-            n_test = int(round(len(rows) * test_fraction))
-            held[rows[rng.permutation(len(rows))[:n_test]]] = True
+    for rows in _shuffled_class_rows(dataset, np.random.default_rng(seed)):
+        held[rows[: int(round(len(rows) * test_fraction))]] = True
     return dataset[~held], dataset[held]
 
 
@@ -429,20 +431,16 @@ def train_mlp(
     val_set = dataset[:0]
     train_set = dataset
     if cfg.val_fraction > 0 and len(dataset) >= 2:
-        # both parts are grouped by class, in class order
-        train_rows, val_rows = [], []
-        for rows in _class_rows(dataset):
-            if not len(rows):
-                continue
+        held = np.zeros(len(dataset), dtype=bool)
+        for rows in _shuffled_class_rows(dataset, rng):
             n_val = int(round(len(rows) * cfg.val_fraction))
             if len(rows) > 1:
                 n_val = max(1, min(n_val, len(rows) - 1))
-            held = np.zeros(len(rows), dtype=bool)
-            held[rng.permutation(len(rows))[:n_val]] = True
-            train_rows.append(rows[~held])
-            val_rows.append(rows[held])
-        train_set = dataset[np.concatenate(train_rows)]
-        val_set = dataset[np.concatenate(val_rows)]
+            held[rows[:n_val]] = True
+        # both parts are grouped by class, in class order
+        by_class = np.argsort(dataset.labels, kind="stable")
+        train_set = dataset[by_class[~held[by_class]]]
+        val_set = dataset[by_class[held[by_class]]]
     X, y = dataset_arrays(train_set)
     X = X / INPUT_NORM
     Xv, yv = (None, None)
@@ -531,17 +529,16 @@ def stratified_folds(dataset: Dataset, folds: int, seed: int) -> list[np.ndarray
     """Ascending row indices of k folds, with per-class round-robin assignment."""
     if folds < 2:
         raise ValidationError("need at least 2 folds")
-    class_rows = _class_rows(dataset)
+    class_rows = _shuffled_class_rows(dataset, np.random.default_rng(seed))
     for klass, rows in zip(SpikeClass, class_rows):
         if 0 < len(rows) < folds:
             raise ValidationError(
                 f"class {klass.name} has {len(rows)} samples, fewer than {folds} folds"
             )
-    rng = np.random.default_rng(seed)
     fold_of = np.empty(len(dataset), dtype=np.int64)
     for rows in class_rows:
         # the pos-th row of the class's permutation goes to fold pos % folds
-        fold_of[rows[rng.permutation(len(rows))]] = np.arange(len(rows)) % folds
+        fold_of[rows] = np.arange(len(rows)) % folds
     return [np.flatnonzero(fold_of == fold) for fold in range(folds)]
 
 
@@ -591,7 +588,6 @@ def cross_validate(
     train_cfg = train_cfg or TrainConfig()
     fold_idx = stratified_folds(dataset, folds, seed)
     z = float(norm.ppf(0.5 + confidence / 2.0))
-    values = {k: [] for k in SpikeClass}
     matrices = []
     for fold in range(folds):
         test_part = dataset[fold_idx[fold]]
@@ -601,13 +597,10 @@ def cross_validate(
         processed = filter_outliers(balance_classes(train_part, fold_seed))
         model, _ = train_mlp(processed, topology, train_cfg, seed=fold_seed)
         qmodel = quantize(model, dataset_arrays(processed)[0])
-        cm = evaluate(qmodel, test_part)
-        matrices.append(cm)
-        for klass in SpikeClass:
-            values[klass].append(accuracy(cm, klass))
+        matrices.append(evaluate(qmodel, test_part))
     per_class = {}
     for klass in SpikeClass:
-        arr = np.array(values[klass])
+        arr = np.array([accuracy(cm, klass) for cm in matrices])
         mean = float(arr.mean())
         se = float(arr.std(ddof=1) / math.sqrt(folds)) if folds > 1 else 0.0
         per_class[klass] = ClassStats(
@@ -661,32 +654,25 @@ def run_dse(
 ) -> list[DseResult]:
     """Cross-validate candidate (topology, ortho_lambda) pairs in rank order.
 
-    Candidates are grouped by topology (each group holds all of that
-    topology's λ values, in the order given) and the groups are ranked by
-    `dse_rank`: complexity, then depth, then topology.  The groups are
-    cross-validated in that order, in waves of `jobs` tasks.  The search
-    stops after the first group that has a survivor (CS CI low above
-    `dse_cfg.cs_floor`), and always finishes that group.  `dse_select`
-    ranks by the same key before accuracy, so no later group could be
-    selected and the selection equals that of an exhaustive search.  A
-    search with no survivor evaluates every candidate; `exhaustive` turns
-    the stop off.
+    One stable sort on `dse_rank` (complexity, then depth, then topology)
+    ranks the candidates, so each topology's λ values stay together, in
+    the order given.  They are cross-validated in that order, in waves of
+    `jobs` tasks.  The search stops after the first topology that has a
+    survivor (CS CI low above `dse_cfg.cs_floor`), and always finishes
+    that topology's λ values.  `dse_select` ranks by the same key before
+    accuracy, so no later topology could be selected and the selection
+    equals that of an exhaustive search.  A search with no survivor
+    evaluates every candidate; `exhaustive` turns the stop off.
 
     Returns the evaluated results in rank order, cut after the deciding
-    group.  Seeds derive from (seed, topology, fold) alone, so the list does
-    not depend on worker count or scheduling order.
+    topology.  Seeds derive from (seed, topology, fold) alone, so the list
+    does not depend on worker count or scheduling order.
     """
     train_cfg = train_cfg or TrainConfig()
     dse_cfg = dse_cfg or DseConfig()
-    groups: dict[tuple, list] = {}
-    for topology, rf in candidates:
-        groups.setdefault(tuple(topology), []).append(rf)
-    topologies, cfgs, group_end = [], [], []  # group_end[i]: index just past task i's group
-    for topology in sorted(groups, key=lambda t: dse_rank(complexity(t), t)):
-        for rf in groups[topology]:
-            topologies.append(topology)
-            cfgs.append(replace(train_cfg, ortho_lambda=rf))
-        group_end += [len(topologies)] * len(groups[topology])
+    ranked = sorted(candidates, key=lambda c: dse_rank(complexity(c[0]), c[0]))
+    topologies = [tuple(topology) for topology, _ in ranked]
+    cfgs = [replace(train_cfg, ortho_lambda=rf) for _, rf in ranked]
     # built here, from the module global, so that a replaced cross_validate is the one called
     task = functools.partial(
         cross_validate, dataset, folds=dse_cfg.folds, seed=seed, confidence=dse_cfg.confidence
@@ -703,7 +689,8 @@ def run_dse(
             if not exhaustive:
                 for k in range(start, len(results)):
                     if results[k].survives(dse_cfg.cs_floor):
-                        stop = min(stop, group_end[k])
+                        # the rest of k's topology ranks right after it
+                        stop = min(stop, k + topologies[k:].count(topologies[k]))
                         break
     return results[:stop]
 

@@ -588,6 +588,30 @@ def test_out_of_range_count_flags_exit_1(capsys, tmp_path, command, flag, value)
     assert not any(tmp_path.iterdir())
 
 
+# inputs generate cannot draw from, refused before any draw: a duration that
+# rounds to no sample, and spike rates above one per sample (30 kHz > 24.414 kHz)
+@pytest.mark.parametrize(
+    "flags, doc, blame",
+    [
+        (["--duration-s", "1e-5"], None, "duration_s"),
+        ([], {"recording": {"duration_s": 1e-5}}, "duration_s"),
+        ([], {"synthesis": {"ss_rate_hz": 1e300}}, "ss_rate_hz"),
+        ([], {"synthesis": {"ss_rate_hz": 20000.0, "cs_rate_hz": 10000.0}}, "cs_rate_hz"),
+    ],
+)
+def test_generate_refuses_what_it_cannot_draw_exit_1(capsys, tmp_path, flags, doc, blame):
+    args = ["generate", "--out", tmp_path / "r.spkr", "--annotations", tmp_path / "a.csv", *flags]
+    if doc is not None:
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        args += ["--config", tmp_path / "c.json"]
+    code = cli.main([str(a) for a in args])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
+    assert blame in err and "Traceback" not in err
+    assert not (tmp_path / "r.spkr").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_values_exit_1(capsys, model_files, value):
     root = model_files

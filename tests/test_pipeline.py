@@ -169,7 +169,8 @@ def test_store_false_positives(tmp_path, ten_seconds, trained):
 
 def test_capture_detections_matches_run(ten_seconds, trained):
     _, qmodel, _, _ = trained
-    ticks, waveforms, trace = pl.capture_detections(ten_seconds)
+    ticks, waveforms = pl.capture_detections(ten_seconds)
+    trace = det.detector_trace(ten_seconds, DetectorConfig())
     n = len(ten_seconds)
     assert waveforms.shape == (len(ticks), 40) and waveforms.dtype == np.int8
     y = det.smooth(ten_seconds, DetectorConfig().alpha_signal)
@@ -223,7 +224,7 @@ def check_capture_path(stream, det_cfg, classify_ticks):
     assert (events, stats.converged_tick) == naive_fsm(stream, SMALL_MODEL, det_cfg, classify_ticks)
 
     # a capture is classified on the tick after its last sample
-    ticks, waveforms, trace = pl.capture_detections(stream, det_cfg, classify_ticks=classify_ticks)
+    ticks, waveforms = pl.capture_detections(stream, det_cfg, classify_ticks=classify_ticks)
     keep = ticks + nn.WAVEFORM_SAMPLES + 1 <= len(stream) - 1
     klasses = nn.infer_quantized_batch(SMALL_MODEL, waveforms[keep]).argmax(axis=1)
     assert stats.classify_invocations == int(keep.sum())
@@ -231,7 +232,7 @@ def check_capture_path(stream, det_cfg, classify_ticks):
         store.EventRecord(int(t), SpikeClass(int(k)))
         for t, k in zip(ticks[keep], klasses)
     ]
-    return ticks, trace
+    return ticks, det.detector_trace(stream, det_cfg)
 
 
 @settings(max_examples=60, deadline=None)

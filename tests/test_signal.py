@@ -150,6 +150,8 @@ def test_recording_config_validation():
         RecordingConfig(adc_bits=0)
     with pytest.raises(ValidationError):
         RecordingConfig(duration_s=0)
+    with pytest.raises(ValidationError, match="at least one sample"):
+        RecordingConfig(duration_s=1e-5)  # 0.24 samples at 24.414 kHz
     for bad in (math.nan, math.inf):
         with pytest.raises(ValidationError):
             RecordingConfig(duration_s=bad)

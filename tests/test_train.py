@@ -506,6 +506,41 @@ def test_training_bytes_are_pinned():
     assert training_digest() == GOLDEN_TRAINING_SHA256
 
 
+# sha256 of tiny_class_training_digest() at the commit before train_mlp's
+# validation split was rewritten onto the shared per-class shuffle.  The
+# GOLDEN_TRAINING_SHA256 classes are too large for the split's clamp (at
+# least one and at most n - 1 validation rows per class) to change a count.
+GOLDEN_TINY_CLASS_TRAINING_SHA256 = "479e726f8cef938b3ffbc53c881bf56db919f3bd2e3f84b558b886757a219026"
+
+
+def tiny_class_training_digest() -> str:
+    """sha256 over weights, biases and logs of trainings on 1-, 2- and 3-row classes.
+
+    Each class size meets each class.  At val_fraction 0.15, 0.5 and 0.9 the
+    rounded validation count of a class falls below, inside and above the
+    clamp, and a one-row class, which the clamp leaves alone, goes wholly to
+    training or wholly to validation.
+    """
+    h = hashlib.sha256()
+    for counts in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
+        ds = make_cluster_dataset(counts, seed=sum(counts) + counts[0], spread=30.0)
+        for val_fraction in (0.15, 0.5, 0.9):
+            cfg = TrainConfig(
+                epochs=6, patience=2, val_fraction=val_fraction, batch_size=2,
+                learning_rate=3e-2, ortho_lambda=0.01,
+            )
+            model, log = tr.train_mlp(ds, (40, 4, 3), cfg, seed=11)
+            for layer in model.layers:
+                h.update(layer.weights.tobytes())
+                h.update(layer.biases.tobytes())
+            h.update(json.dumps([log.entries, log.best_epoch, log.stopped_early]).encode())
+    return h.hexdigest()
+
+
+def test_tiny_class_training_bytes_are_pinned():
+    assert tiny_class_training_digest() == GOLDEN_TINY_CLASS_TRAINING_SHA256
+
+
 def test_dataset_bytes_are_pinned(tmp_path, dataset):
     path = tmp_path / "ds.jsonl"
     tr.save_dataset(path, dataset)
