@@ -72,6 +72,8 @@ class RecordingConfig:
             raise ValidationError("adc_bits must be in [2, 16]")
         if self.duration_s <= 0:
             raise ValidationError("duration_s must be positive")
+        if not math.isfinite(self.duration_s * self.sample_rate_hz):
+            raise ValidationError("duration_s * sample_rate_hz must be finite")
         if self.num_samples < 1:
             raise ValidationError("duration_s must span at least one sample")
         if self.seed < 0:

@@ -9,6 +9,8 @@ format.
 Quantization is symmetric and per layer: one weight scale, one activation
 scale.  Accumulation is 32-bit integer, requantization rounds half to even,
 and the final layer returns dequantized logits instead of requantizing.
+However a QuantizedLayer is built, it holds int8 weights, int32 biases and
+a worst-case accumulator over int8 inputs that fits int32.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ ACT_QMIN = -128
 ACT_QMAX = 127
 SCALE_FLOOR = 1e-8
 
-INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 
 
@@ -97,10 +98,18 @@ class QuantizedLayer:
     output_scale: float
 
     def __post_init__(self):
-        self.q_weights = np.asarray(self.q_weights, dtype=np.int8)
-        self.q_biases = np.asarray(self.q_biases, dtype=np.int32)
+        for name, dtype in (("q_weights", np.int8), ("q_biases", np.int32)):
+            values, info = np.asarray(getattr(self, name)), np.iinfo(dtype)
+            # before the cast, which would wrap; NaN fails the comparison too
+            if values.size and not info.min <= values.min() <= values.max() <= info.max:
+                raise ValidationError(f"{name} must lie in [{info.min}, {info.max}]")
+            setattr(self, name, values.astype(dtype))
         if self.q_weights.ndim != 2 or self.q_biases.shape != (self.q_weights.shape[0],):
             raise ValidationError("quantized layer shapes are inconsistent")
+        # |acc| <= 128 * sum|w| + |b| on int8 inputs; widened, as np.abs(np.int8(-128)) is -128
+        w, b = self.q_weights.astype(np.int64), self.q_biases.astype(np.int64)
+        if np.any(128 * np.abs(w).sum(axis=1) + np.abs(b) > INT32_MAX):
+            raise ValidationError("worst-case accumulator over int8 inputs exceeds int32")
         if self.activation not in ("relu", "linear"):
             raise ValidationError(f"unknown activation {self.activation!r}")
         scales = (self.input_scale, self.weight_scale, self.output_scale)
@@ -187,18 +196,10 @@ def quantize(model: MlpModel, calibration: np.ndarray) -> QuantizedMlpModel:
     for layer, act_max in zip(model.layers, act_maxima):
         weight_scale = max(float(np.max(np.abs(layer.weights))) / WEIGHT_QMAX, SCALE_FLOOR)
         output_scale = max(act_max / ACT_QMAX, SCALE_FLOOR)
-        q_w = np.round(layer.weights / weight_scale)
-        # scale = max|w|/127 puts every |w/scale| <= 127 already
-        assert np.max(np.abs(q_w)) <= WEIGHT_QMAX
-        bias_scale = input_scale * weight_scale
-        q_b = np.round(layer.biases / bias_scale)
-        acc_bound = layer.weights.shape[1] * WEIGHT_QMAX * 128 + np.max(np.abs(q_b))
-        if acc_bound > INT32_MAX:
-            raise ValidationError("quantized biases would overflow the 32-bit accumulator")
         qlayers.append(
             QuantizedLayer(
-                q_weights=q_w.astype(np.int8),
-                q_biases=q_b.astype(np.int32),
+                q_weights=np.round(layer.weights / weight_scale),
+                q_biases=np.round(layer.biases / (input_scale * weight_scale)),
                 activation=layer.activation,
                 input_scale=input_scale,
                 weight_scale=weight_scale,
@@ -210,23 +211,21 @@ def quantize(model: MlpModel, calibration: np.ndarray) -> QuantizedMlpModel:
 
 
 def infer_quantized_batch(model: QuantizedMlpModel, waveforms: np.ndarray) -> np.ndarray:
-    """Integer forward pass on a [batch, in] int8 matrix; returns float logits."""
-    q = np.asarray(waveforms, dtype=np.int64)
-    n_layers = len(model.layers)
-    for i, layer in enumerate(model.layers):
-        acc = q @ layer.q_weights.T.astype(np.int64) + layer.q_biases
-        # 40 * 127 * 128 plus the bias bound stays well inside int32; a trip
-        # outside means the quantize-time bound was violated, so fail loudly.
-        if acc.size and (acc.min() < INT32_MIN or acc.max() > INT32_MAX):
-            raise AssertionError("int32 accumulator overflow")
-        acc_scale = layer.input_scale * layer.weight_scale
-        if i == n_layers - 1:
-            return acc.astype(np.float64) * acc_scale
-        q = np.clip(np.round(acc * (acc_scale / layer.output_scale)), ACT_QMIN, ACT_QMAX)
+    """Integer forward pass on a [batch, in] matrix of int8 values (any dtype); float logits.
+
+    The layer rule keeps every int32 accumulator exact on int8 inputs.
+    """
+    q = np.asarray(waveforms, dtype=np.int32)
+    *hidden, last = model.layers
+    for layer in hidden:
+        acc = q @ layer.q_weights.T.astype(np.int32) + layer.q_biases
+        scale = layer.input_scale * layer.weight_scale / layer.output_scale
+        q = np.clip(np.round(acc * scale), ACT_QMIN, ACT_QMAX)
         if layer.activation == "relu":
             q = np.maximum(q, 0)
-        q = q.astype(np.int64)
-    raise AssertionError("unreachable")
+        q = q.astype(np.int32)
+    acc = q @ last.q_weights.T.astype(np.int32) + last.q_biases
+    return acc.astype(np.float64) * (last.input_scale * last.weight_scale)
 
 
 def _json_number(value, name: str) -> float:
@@ -236,24 +235,17 @@ def _json_number(value, name: str) -> float:
     return float(value)
 
 
-def _json_numbers(value, name: str, int_range: tuple[int, int] | None = None) -> np.ndarray:
+def _json_numbers(value, name: str, integers: bool = False) -> np.ndarray:
     """A nested list of JSON numbers as an array, refusing what a cast would change.
 
-    With `int_range` (lo, hi) every entry must be an integer in it and the
-    array is int64; otherwise entries are integers or finite floats and the
-    array is float64.  A bool or a string is never a number.
+    With `integers` every entry must be an integer and the array is int64 (the
+    layer checks the range); otherwise entries are integers or finite floats
+    and the array is float64.  A bool or a string is never a number.
     """
-    flat = np.array(value, dtype=object).ravel().tolist()
-    if int_range is not None:
-        lo, hi = int_range
-        if not all(type(v) is int for v in flat):
-            raise ValueError(f"{name} must be integers")
-        if flat and (min(flat) < lo or max(flat) > hi):
-            raise ValueError(f"{name} must be in [{lo}, {hi}]")
-        return np.array(value, dtype=np.int64)
-    if not all(type(v) in (int, float) for v in flat):
-        raise ValueError(f"{name} must be numbers")
-    array = np.array(value, dtype=np.float64)
+    types = (int,) if integers else (int, float)
+    if not all(type(v) in types for v in np.array(value, dtype=object).ravel().tolist()):
+        raise ValueError(f"{name} must be {'integers' if integers else 'numbers'}")
+    array = np.array(value, dtype=np.int64 if integers else np.float64)
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{name} must be finite")
     return array
@@ -278,8 +270,8 @@ _CODECS = {
         QuantizedMlpModel,
         QuantizedLayer,
         {
-            "q_weights": partial(_json_numbers, int_range=(-128, 127)),
-            "q_biases": partial(_json_numbers, int_range=(INT32_MIN, INT32_MAX)),
+            "q_weights": partial(_json_numbers, integers=True),
+            "q_biases": partial(_json_numbers, integers=True),
             "activation": _json_text,
             "input_scale": _json_number,
             "weight_scale": _json_number,

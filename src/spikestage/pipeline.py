@@ -49,7 +49,7 @@ from .nn import (
     check_topology,
     infer_quantized_batch,
 )
-from .store import EventRecord
+from .store import MAX_TIMESTAMP, EventRecord
 
 
 class FsmState(Enum):
@@ -82,8 +82,9 @@ class RunStats:
 
 
 def _check_latency(classify_ticks: int) -> None:
-    if classify_ticks < 1:
-        raise ValidationError("classify_ticks must be at least 1")
+    # a longer latency outlasts any stream the event log can stamp
+    if not 1 <= classify_ticks <= MAX_TIMESTAMP:
+        raise ValidationError(f"classify_ticks must be in [1, {MAX_TIMESTAMP}]")
 
 
 def _check_deployable(model, classify_ticks: int) -> None:

@@ -35,6 +35,7 @@ import numpy as np
 from .config import RecordingConfig, SynthesisParams
 from .errors import FormatError, ValidationError
 from .nn import SpikeClass
+from .store import MAX_TIMESTAMP
 
 RECORDING_MAGIC = b"SPKR"
 RECORDING_VERSION = 1
@@ -99,12 +100,21 @@ def generate_recording(
     and the planted spikes sorted by onset.  The same config and params
     always produce the same bytes.
     """
-    # the Poisson draws size their buffers by the expected spike count
-    if params.ss_rate_hz + params.cs_rate_hz > cfg.sample_rate_hz:
-        raise ValidationError("ss_rate_hz + cs_rate_hz exceed one spike per sample")
-    rng = np.random.default_rng(cfg.seed)
+    # refused before any allocation: the Poisson draws size their buffers by
+    # the expected spike count, and run stamps no tick past MAX_TIMESTAMP
     n = cfg.num_samples
     fs = cfg.sample_rate_hz
+    if n > MAX_TIMESTAMP + 1:
+        raise ValidationError(
+            f"duration_s * sample_rate_hz gives {n:.4g} samples, more than the "
+            f"{MAX_TIMESTAMP + 1} that 31-bit event log timestamps reach"
+        )
+    if params.ss_rate_hz + params.cs_rate_hz > fs:
+        raise ValidationError("ss_rate_hz + cs_rate_hz exceed one spike per sample")
+    gap = params.min_interval_ms * fs / 1000.0
+    if not math.isfinite(gap):
+        raise ValidationError("min_interval_ms * sample_rate_hz must be finite")
+    rng = np.random.default_rng(cfg.seed)
     scale = cfg.adc_max / 511.0  # templates are tuned against 10-bit rails
 
     ss_times = _poisson_times(rng, params.ss_rate_hz, cfg.duration_s)
@@ -114,7 +124,7 @@ def generate_recording(
 
     # Enforce the minimum inter-spike interval across both classes in tick
     # units, so annotation spacing is exact after quantization to samples.
-    min_gap = int(math.ceil(params.min_interval_ms * fs / 1000.0))
+    min_gap = int(math.ceil(gap))
     kept: list[tuple[int, SpikeClass]] = []
     last_tick = -min_gap
     for t, label in events:

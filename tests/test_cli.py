@@ -174,6 +174,15 @@ def test_run_refuses_a_quantized_model_that_breaks_the_shape_rule(
     assert not out.exists()
 
 
+def test_run_refuses_a_latency_beyond_31_bit_timestamps(capsys, model_files):
+    # 10^20 does not fit int64; the other wraps int64 once added to a tick
+    out = model_files / "e.spkevt"
+    run = ("run", "--in", model_files / "r.spkr", "--model", model_files / "q.json", "--out", out)
+    for ticks in (10**20, 9223372036854775000):
+        assert main_exit(capsys, *run, "--classify-ticks", ticks, blame="classify_ticks") == 1
+        assert not out.exists()
+
+
 def test_run_refuses_a_recording_beyond_31_bit_timestamps(capsys, monkeypatch, model_files):
     # a zero-stride view: 2^31 + 1 samples that allocate nothing
     samples = np.broadcast_to(np.int16(0), (2**31 + 1,))
@@ -501,6 +510,8 @@ def main_exit(capsys, *args, blame=""):
         ("f", "weights", [["2.5"] * 40] * 3),
         ("f", "weights", [[float("nan")] * 40] * 3),
         ("f", "biases", [0, True, 0]),
+        # in int32, but 128 * sum|w| + |b| over int8 inputs is not
+        ("q", "q_biases", [2**31 - 1, 0, 0]),
     ],
 )
 def test_malformed_model_exits_2(capsys, model_files, kind, key, value):
@@ -588,8 +599,9 @@ def test_out_of_range_count_flags_exit_1(capsys, tmp_path, command, flag, value)
     assert not any(tmp_path.iterdir())
 
 
-# inputs generate cannot draw from, refused before any draw: a duration that
-# rounds to no sample, and spike rates above one per sample (30 kHz > 24.414 kHz)
+# inputs generate cannot draw from, refused before any draw or allocation: a
+# duration that rounds to no sample, spike rates above one per sample (30 kHz >
+# 24.414 kHz), more samples than 31-bit timestamps reach, and a gap of infinite ticks
 @pytest.mark.parametrize(
     "flags, doc, blame",
     [
@@ -597,6 +609,9 @@ def test_out_of_range_count_flags_exit_1(capsys, tmp_path, command, flag, value)
         ([], {"recording": {"duration_s": 1e-5}}, "duration_s"),
         ([], {"synthesis": {"ss_rate_hz": 1e300}}, "ss_rate_hz"),
         ([], {"synthesis": {"ss_rate_hz": 20000.0, "cs_rate_hz": 10000.0}}, "cs_rate_hz"),
+        (["--duration-s", "1e6"], None, "duration_s"),
+        ([], {"recording": {"sample_rate_hz": 1e300}}, "sample_rate_hz"),
+        ([], {"synthesis": {"min_interval_ms": 1e308}}, "min_interval_ms"),
     ],
 )
 def test_generate_refuses_what_it_cannot_draw_exit_1(capsys, tmp_path, flags, doc, blame):
@@ -708,6 +723,8 @@ def test_non_finite_dse_config_exits_1(capsys, tmp_path, literal):
         {"resources": {"storage_capacity_bytes": -1}},
         {"dse": {"ortho_lambdas": []}},
         {"train": {"test_fraction": 0}},  # train_test_split needs a held-out part
+        {"recording": {"duration_s": 1e308}},  # finite, but not in samples
+        {"recording": {"sample_rate_hz": 1e308}},
     ],
 )
 def test_malformed_config_value_exits_1(capsys, tmp_path, doc):

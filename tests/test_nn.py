@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikestage import nn
 from spikestage.errors import FormatError, ValidationError
@@ -313,3 +315,73 @@ def test_quantized_activation_clipping(trained):
     logits = nn.infer_quantized_batch(qmodel, x)
     assert logits.shape == (1, 3)
     assert np.all(np.isfinite(logits))
+
+
+def integer_forward(layers, x):
+    """Pure-Python reference of the int8 forward pass, on unbounded integers."""
+    h = [int(v) for v in x]
+    for i, layer in enumerate(layers):
+        rows = zip(layer.q_weights.tolist(), layer.q_biases.tolist())
+        acc = [b + sum(w * v for w, v in zip(row, h)) for row, b in rows]
+        scale = layer.input_scale * layer.weight_scale
+        if i == len(layers) - 1:
+            return [a * scale for a in acc]
+        h = [min(max(round(a * (scale / layer.output_scale)), -128), 127) for a in acc]
+        if layer.activation == "relu":
+            h = [max(v, 0) for v in h]
+
+
+INT8 = st.integers(-128, 127)
+
+
+@st.composite
+def int8_nets(draw):
+    """Layer specs (weights, bias signs, weight and output scale) and int8 inputs."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4))
+    spec = []
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        row = st.lists(INT8, min_size=n_in, max_size=n_in)
+        weights = draw(st.lists(row, min_size=n_out, max_size=n_out))
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n_out, max_size=n_out))
+        spec.append((weights, signs, draw(st.floats(1e-6, 1e3)), draw(st.floats(1e-6, 1e3))))
+    inputs = st.lists(INT8, min_size=sizes[0], max_size=sizes[0])
+    return spec, draw(st.lists(inputs, min_size=1, max_size=6))
+
+
+def build_layers(spec, past=0):
+    """Layers whose biases sit `past` beyond the bound 128 * sum|w| + |b| <= 2^31 - 1."""
+    layers, input_scale = [], 1.0
+    for i, (weights, signs, weight_scale, output_scale) in enumerate(spec):
+        bounds = [nn.INT32_MAX - 128 * sum(map(abs, row)) + past for row in weights]
+        layers.append(
+            nn.QuantizedLayer(
+                weights,
+                [s * b for s, b in zip(signs, bounds)],
+                "linear" if i == len(spec) - 1 else "relu",
+                input_scale,
+                weight_scale,
+                output_scale,
+            )
+        )
+        input_scale = output_scale
+    return layers
+
+
+# every weight and input -128 under +bound biases: the first accumulators are 2^31 - 1
+WORST = (
+    [([[-128] * 12] * 2, [1, 1], 1.0, 1.0), ([[-128] * 2] * 3, [1, -1, 1], 1.0, 1.0)],
+    [[-128] * 12],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int8_nets())
+@example(WORST)
+def test_int32_inference_matches_integer_oracle(net):
+    spec, inputs = net
+    layers = build_layers(spec)
+    logits = nn.infer_quantized_batch(nn.QuantizedMlpModel(layers), np.array(inputs, dtype=np.int8))
+    assert logits.tolist() == [integer_forward(layers, x) for x in inputs]
+    # one past the bound: beyond int32 altogether when a row's weights are all 0
+    with pytest.raises(ValidationError):
+        build_layers(spec, past=1)

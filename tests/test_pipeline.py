@@ -1,6 +1,7 @@
 import csv
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,12 +104,16 @@ def test_pipeline_rejects_wrong_input_width():
 
 
 def test_options_validation():
-    with pytest.raises(ValidationError):
-        pl.Pipeline(SMALL_MODEL, classify_ticks=0)
-    with pytest.raises(ValidationError):
-        pl.run_pipeline(np.zeros(100), SMALL_MODEL, classify_ticks=0)
-    with pytest.raises(ValidationError):
-        pl.capture_detections(np.zeros(100), classify_ticks=0)
+    # the latency lies in [1, MAX_TIMESTAMP]: past it, a tick plus the busy
+    # period wraps int64 (9223372036854775000) or does not fit it (10^20)
+    for ticks in (0, store.MAX_TIMESTAMP + 1, 9223372036854775000, 10**20):
+        with pytest.raises(ValidationError):
+            pl.Pipeline(SMALL_MODEL, classify_ticks=ticks)
+        with pytest.raises(ValidationError):
+            pl.run_pipeline(np.zeros(100), SMALL_MODEL, classify_ticks=ticks)
+        with pytest.raises(ValidationError):
+            pl.capture_detections(np.zeros(100), classify_ticks=ticks)
+    pl.run_pipeline(np.zeros(100), SMALL_MODEL, classify_ticks=store.MAX_TIMESTAMP)
 
 
 def test_step_matches_naive_fsm(ten_seconds, trained):
@@ -284,6 +289,24 @@ def test_replay_memory_is_bytes_per_sample():
         tracemalloc.stop()
     assert stats.converged_tick < 10_000 and stats.threshold > 100.0
     assert peak <= 4 * len(samples)
+
+
+def test_inference_memory_is_int32_per_capture():
+    # the captures of a 60 s recording at replay-dense rates, classified by
+    # the committed 40-16-7-5-4-3 model: int32 accumulation peaks near 480 B
+    # per capture, int64 near 704
+    cfg = RecordingConfig(duration_s=60.0, seed=5)
+    params = SynthesisParams(ss_rate_hz=400.0, cs_rate_hz=20.0, min_interval_ms=2.0, noise_sigma=15.0)
+    _, waveforms = pl.capture_detections(signal.generate_recording(cfg, params)[0])
+    model = nn.load_model(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "model_q.json")
+    tracemalloc.start()
+    try:
+        nn.infer_quantized_batch(model, waveforms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(waveforms) > 10_000
+    assert peak <= 600 * len(waveforms)
 
 
 def naive_honored(candidates, busy_ticks):
