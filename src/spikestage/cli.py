@@ -16,9 +16,10 @@ model, event log) can be produced, inspected, and fed forward on its own:
 
 Every subcommand takes an optional JSON config file (--config), which main
 reads once, before the command runs; spikestage.config holds its format and
-rules.  Exit codes: 0 success, 1 invalid arguments or config, 2 malformed or
-unreadable file, 3 no feasible result.  JSON on stdout is strict: a result
-holding NaN or an infinity exits 1 unprinted.
+rules.  Exit codes: 0 success, 1 invalid arguments or config or a request
+too large for memory, 2 malformed or unreadable file, 3 no feasible result.
+JSON on stdout is strict: a result holding NaN or an infinity exits 1
+unprinted.
 
 The modules that pull in scipy (detector, pipeline, train) are imported
 inside the commands that run them, so report, metrics, postprocess and
@@ -439,6 +440,7 @@ _EXIT_CODES = {
     InfeasibleError: 3,
     SpikestageError: 1,
     OSError: 2,  # a missing, unreadable or unwritable file
+    MemoryError: 1,  # a request too large for memory
 }
 
 

@@ -7,8 +7,8 @@ forward paths, the post-training quantization step and the model file
 format.
 
 Quantization is symmetric and per layer: one weight scale, one activation
-scale.  Accumulation is 32-bit integer, requantization rounds half to even,
-and the final layer returns dequantized logits instead of requantizing.
+scale.  Accumulation is 32-bit integer and requantization rounds half to
+even.  The class is the argmax of the final layer's int32 accumulators.
 However a QuantizedLayer is built, it holds int8 weights, int32 biases and
 a worst-case accumulator over int8 inputs that fits int32.
 """
@@ -211,9 +211,11 @@ def quantize(model: MlpModel, calibration: np.ndarray) -> QuantizedMlpModel:
 
 
 def infer_quantized_batch(model: QuantizedMlpModel, waveforms: np.ndarray) -> np.ndarray:
-    """Integer forward pass on a [batch, in] matrix of int8 values (any dtype); float logits.
+    """Integer forward pass on a [batch, in] matrix of int8 values (any dtype).
 
-    The layer rule keeps every int32 accumulator exact on int8 inputs.
+    Returns the final layer's int32 accumulators, [batch, out]: a positive
+    scale would keep their order, ties included, so their argmax is the
+    class.  The layer rule keeps every int32 accumulator exact on int8 inputs.
     """
     q = np.asarray(waveforms, dtype=np.int32)
     *hidden, last = model.layers
@@ -224,8 +226,7 @@ def infer_quantized_batch(model: QuantizedMlpModel, waveforms: np.ndarray) -> np
         if layer.activation == "relu":
             q = np.maximum(q, 0)
         q = q.astype(np.int32)
-    acc = q @ last.q_weights.T.astype(np.int32) + last.q_biases
-    return acc.astype(np.float64) * (last.input_scale * last.weight_scale)
+    return q @ last.q_weights.T.astype(np.int32) + last.q_biases
 
 
 def _json_number(value, name: str) -> float:

@@ -5,10 +5,7 @@ ACCEPTANCE <name>: PASS/FAIL line with the measured numbers, so a plain
 pytest run doubles as the sign-off checklist.
 """
 
-import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -30,6 +27,8 @@ from spikestage.config import (
     TrainConfig,
 )
 from spikestage.nn import SpikeClass
+
+from oracles import naive_dead_zone, smoothed_energy
 
 
 def _report(capsys, label, ok, detail):
@@ -168,11 +167,7 @@ def test_05_energy_operator_equivalence(capsys):
     s = 7.3
     noise = rng.normal(0.0, 10.0, size=30_000)
     default = DetectorConfig()
-
-    def smoothed_energy(x):
-        return det.smooth(det.neo_stream(det.smooth(x, default.alpha_signal)), default.alpha_neo)
-
-    e1, e2 = smoothed_energy(noise), smoothed_energy(s * noise)
+    e1, e2 = smoothed_energy(noise, default), smoothed_energy(s * noise, default)
     neo_rel = float(np.max(np.abs(e2 - s * s * e1)) / np.max(np.abs(s * s * e1)))
     t1 = det.detector_trace(noise, default)
     t2 = det.detector_trace(s * noise, default)
@@ -304,7 +299,7 @@ def test_07_fsm_invariants(capsys, chain600):
     )
 
 
-def test_08_resource_model(capsys):
+def test_08_resource_model(capsys, cli_run):
     required = store.storage_required(86400.0, 100.0)
     capacity = 32 * 2**20
     model = ResourceModel()
@@ -312,16 +307,7 @@ def test_08_resource_model(capsys):
     classifier_uw = power["classifier_w"] * 1e6
     days = store.battery_life_days(model)
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "spikestage.cli", "report"],
-        capture_output=True,
-        text=True,
-    )
-    report = json.loads(proc.stdout) if proc.returncode == 0 else {}
-    voltage_printed = (
-        proc.returncode == 0
-        and report.get("assumptions", {}).get("battery_voltage_v") == 1.5
-    )
+    voltage_printed = cli_run("report")["assumptions"]["battery_voltage_v"] == 1.5
 
     ok = (
         required == 34_560_000
@@ -345,18 +331,6 @@ def test_09_dead_zone_rules(capsys):
     fs = 24414.0
     zone = cfg.dead_zone_ms * fs / 1000.0
 
-    def naive(events):
-        kept = []
-        for e in events:
-            blocked = any(
-                k.klass is SpikeClass.SS
-                and k.timestamp < e.timestamp < k.timestamp + zone
-                for k in kept
-            )
-            if not blocked:
-                kept.append(e)
-        return kept
-
     rng = np.random.default_rng(9)
     streams = 0
     mismatches = 0
@@ -368,7 +342,7 @@ def test_09_dead_zone_rules(capsys):
             store.EventRecord(int(t), SpikeClass(int(rng.integers(0, 3)))) for t in ts
         ]
         kept = an.apply_dead_zone(events, cfg, fs)
-        if kept != naive(events):
+        if kept != naive_dead_zone(events, zone):
             mismatches += 1
         if an.apply_dead_zone(kept, cfg, fs) != kept:
             not_idempotent += 1

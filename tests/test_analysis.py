@@ -14,6 +14,8 @@ from spikestage.nn import SpikeClass
 from spikestage.signal import Annotation
 from spikestage.store import EventRecord
 
+from oracles import naive_dead_zone, smoothed_energy
+
 FS = 24414.0
 
 
@@ -96,20 +98,6 @@ def test_metrics_report_shape():
 
 # ---------------------------------------------------------------------------
 # Dead zone
-
-
-def naive_dead_zone(events, zone_ticks):
-    """Quadratic reference: drop events inside any retained SS zone."""
-    kept = []
-    for e in events:
-        blocked = any(
-            k.klass is SpikeClass.SS
-            and k.timestamp < e.timestamp < k.timestamp + zone_ticks
-            for k in kept
-        )
-        if not blocked:
-            kept.append(e)
-    return kept
 
 
 def test_dead_zone_hand_rules():
@@ -309,7 +297,7 @@ def test_write_trace_csv(tmp_path, monkeypatch):
     cfg = DetectorConfig()
     trace = det.detector_trace(samples, cfg)
     y = det.smooth(samples, cfg.alpha_signal)
-    y_neo = det.smooth(det.neo_stream(y), cfg.alpha_neo)
+    y_neo = smoothed_energy(samples, cfg)
     monkeypatch.setattr(det, "CHUNK", 1000)  # block edges inside the rows written
     path = tmp_path / "trace.csv"
     an.write_trace_csv(path, samples, trace, cfg, limit=8000)

@@ -7,28 +7,14 @@ import typing
 import numpy as np
 import pytest
 
-from spikestage import cli, config, nn, pipeline, signal, store
+from spikestage import config, nn, pipeline, signal, store
 from spikestage import train as tr
 from spikestage.config import RecordingConfig
 from spikestage.nn import SpikeClass
 
 
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "spikestage.cli", *[str(a) for a in args]],
-        capture_output=True,
-        text=True,
-    )
-
-
-def run_json(*args):
-    proc = run_cli(*args)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 @pytest.fixture(scope="module")
-def chain(tmp_path_factory):
+def chain(tmp_path_factory, cli_run):
     """Full generate -> train -> quantize -> run -> postprocess chain."""
     root = tmp_path_factory.mktemp("chain")
     p = {
@@ -45,31 +31,31 @@ def chain(tmp_path_factory):
         "root": root,
     }
     out = {}
-    out["generate"] = run_json(
+    out["generate"] = cli_run(
         "generate", "--out", p["rec"], "--annotations", p["ann"],
         "--seed", 11, "--duration-s", 120,
     )
-    out["build"] = run_json(
+    out["build"] = cli_run(
         "build-dataset", "--in", p["rec"], "--annotations", p["ann"], "--out", p["ds"]
     )
     # the 120 s dataset is small, so give the optimizer more epochs
     train_cfg = root / "train_cfg.json"
     train_cfg.write_text(json.dumps({"train": {"epochs": 400, "patience": 40}}))
-    out["train"] = run_json(
+    out["train"] = cli_run(
         "train", "--dataset", p["ds"], "--topology", "40,16,7,5,4,3",
         "--out", p["model"], "--seed", 1, "--log", p["tlog"], "--config", train_cfg,
     )
-    out["quantize"] = run_json(
+    out["quantize"] = cli_run(
         "quantize", "--model", p["model"], "--calib", p["ds"], "--out", p["qmodel"]
     )
-    out["run"] = run_json(
+    out["run"] = cli_run(
         "run", "--in", p["rec"], "--model", p["qmodel"], "--out", p["events"],
         "--stats", p["stats"], "--events-csv", p["events_csv"],
     )
-    out["postprocess"] = run_json(
+    out["postprocess"] = cli_run(
         "postprocess", "--in", p["events"], "--out", p["clean"]
     )
-    out["metrics"] = run_json(
+    out["metrics"] = cli_run(
         "metrics", "--events", p["clean"], "--annotations", p["ann"]
     )
     return p, out
@@ -137,16 +123,16 @@ def test_run_output(chain):
     assert kept == [(e.timestamp, e.klass) for e in events]
 
 
-def test_run_stats_do_not_depend_on_events_csv(capsys, tmp_path, chain):
+def test_run_stats_do_not_depend_on_events_csv(cli_run, tmp_path, chain):
     p, _ = chain
     stats = tmp_path / "stats.json"
     run = ("run", "--in", p["rec"], "--model", p["qmodel"], "--out", tmp_path / "e.spkevt")
-    assert main_exit(capsys, *run, "--stats", stats) == 0
+    cli_run(*run, "--stats", stats)
     # the chain's run wrote its stats alongside --events-csv
     assert stats.read_bytes() == p["stats"].read_bytes()
 
 
-def test_run_refuses_a_model_without_three_outputs(capsys, tmp_path, chain):
+def test_run_refuses_a_model_without_three_outputs(cli_run, tmp_path, chain):
     p, _ = chain
     # every capture scores highest on a fourth output, which no class names
     layer = nn.QuantizedLayer(
@@ -155,12 +141,12 @@ def test_run_refuses_a_model_without_three_outputs(capsys, tmp_path, chain):
     model = tmp_path / "q4.json"
     nn.save_model(model, nn.QuantizedMlpModel([layer]))
     run = ("run", "--in", p["rec"], "--model", model, "--out", tmp_path / "e.spkevt")
-    assert main_exit(capsys, *run, blame="topology") == 1
+    cli_run(*run, code=1, blame="topology")
 
 
 @pytest.mark.parametrize("index, activation", [(0, "linear"), (1, "relu")])
 def test_run_refuses_a_quantized_model_that_breaks_the_shape_rule(
-    capsys, model_files, index, activation
+    cli_run, model_files, index, activation
 ):
     # hidden layers are relu and the output layer linear, in a file as in memory
     hidden = nn.QuantizedLayer(np.ones((4, 40)), np.zeros(4), "relu", 1.0, 1.0, 1.0)
@@ -170,20 +156,20 @@ def test_run_refuses_a_quantized_model_that_breaks_the_shape_rule(
     _corrupt(model, "activation", activation, index=index)
     out = model_files / "e.spkevt"
     run = ("run", "--in", model_files / "r.spkr", "--model", model, "--out", out)
-    assert main_exit(capsys, *run, blame="q2.json") == 2
+    cli_run(*run, code=2, blame="q2.json")
     assert not out.exists()
 
 
-def test_run_refuses_a_latency_beyond_31_bit_timestamps(capsys, model_files):
+def test_run_refuses_a_latency_beyond_31_bit_timestamps(cli_run, model_files):
     # 10^20 does not fit int64; the other wraps int64 once added to a tick
     out = model_files / "e.spkevt"
     run = ("run", "--in", model_files / "r.spkr", "--model", model_files / "q.json", "--out", out)
     for ticks in (10**20, 9223372036854775000):
-        assert main_exit(capsys, *run, "--classify-ticks", ticks, blame="classify_ticks") == 1
+        cli_run(*run, "--classify-ticks", ticks, code=1, blame="classify_ticks")
         assert not out.exists()
 
 
-def test_run_refuses_a_recording_beyond_31_bit_timestamps(capsys, monkeypatch, model_files):
+def test_run_refuses_a_recording_beyond_31_bit_timestamps(cli_run, monkeypatch, model_files):
     # a zero-stride view: 2^31 + 1 samples that allocate nothing
     samples = np.broadcast_to(np.int16(0), (2**31 + 1,))
     monkeypatch.setattr(signal, "read_recording", lambda path: (samples, RecordingConfig()))
@@ -194,7 +180,7 @@ def test_run_refuses_a_recording_beyond_31_bit_timestamps(capsys, monkeypatch, m
     monkeypatch.setattr(pipeline, "run_pipeline", unreachable)
     out = model_files / "e.spkevt"
     run = ("run", "--in", model_files / "r.spkr", "--model", model_files / "q.json", "--out", out)
-    assert main_exit(capsys, *run, blame="2147483649 samples") == 1
+    cli_run(*run, code=1, blame="2147483649 samples")
     assert not out.exists()
 
 
@@ -215,31 +201,39 @@ def test_metrics_output(chain):
     assert rep["per_class"]["SS"]["accuracy"] > 0.85
 
 
-def test_generate_is_reproducible(tmp_path):
-    a_rec, a_ann = tmp_path / "a.spkr", tmp_path / "a.csv"
-    b_rec, b_ann = tmp_path / "b.spkr", tmp_path / "b.csv"
-    run_json("generate", "--out", a_rec, "--annotations", a_ann, "--seed", 3, "--duration-s", 5)
-    run_json("generate", "--out", b_rec, "--annotations", b_ann, "--seed", 3, "--duration-s", 5)
-    assert a_rec.read_bytes() == b_rec.read_bytes()
-    assert a_ann.read_bytes() == b_ann.read_bytes()
-    c_rec, c_ann = tmp_path / "c.spkr", tmp_path / "c.csv"
-    run_json("generate", "--out", c_rec, "--annotations", c_ann, "--seed", 4, "--duration-s", 5)
-    assert a_rec.read_bytes() != c_rec.read_bytes()
+# byte identity across processes, each with its own hash seed
+def test_generate_is_reproducible(cli_run, tmp_path):
+    def generate(name, seed, hash_seed):
+        rec, ann = tmp_path / f"{name}.spkr", tmp_path / f"{name}.csv"
+        args = ("--out", rec, "--annotations", ann, "--seed", seed, "--duration-s", 5)
+        cli_run("generate", *args, hash_seed=hash_seed)
+        return rec.read_bytes(), ann.read_bytes()
+
+    a = generate("a", 3, hash_seed=1)
+    assert generate("b", 3, hash_seed=2) == a
+    assert generate("c", 4, hash_seed=3)[0] != a[0]
 
 
-def test_train_is_reproducible(chain, tmp_path):
+def test_train_is_reproducible(cli_run, chain, tmp_path):
     p, _ = chain
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run_json("train", "--dataset", p["ds"], "--topology", "40,4,3", "--out", a, "--seed", 3)
-    run_json("train", "--dataset", p["ds"], "--topology", "40,4,3", "--out", b, "--seed", 3)
+    train = ("train", "--dataset", p["ds"], "--topology", "40,4,3", "--seed", 3)
+    cli_run(*train, "--out", a, hash_seed=1)
+    cli_run(*train, "--out", b, hash_seed=2)
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_detect_subcommand(tmp_path):
+def test_module_runs_in_a_fresh_interpreter(cli_run):
+    # `python -m spikestage.cli` exits with main's code
+    cli_run(code=1, blame="command", hash_seed=0)
+    assert cli_run("report", hash_seed=0)["storage"]["fits"] is True
+
+
+def test_detect_subcommand(cli_run, tmp_path):
     rec, ann = tmp_path / "r.spkr", tmp_path / "r.csv"
-    run_json("generate", "--out", rec, "--annotations", ann, "--seed", 6, "--duration-s", 5)
+    cli_run("generate", "--out", rec, "--annotations", ann, "--seed", 6, "--duration-s", 5)
     trace = tmp_path / "trace.csv"
-    rep = run_json("detect", "--in", rec, "--trace", trace, "--trace-limit", 2000)
+    rep = cli_run("detect", "--in", rec, "--trace", trace, "--trace-limit", 2000)
     assert rep["converged"] is True
     assert 0 < rep["converged_tick"] < rep["samples"]
     assert rep["threshold"] > 0
@@ -247,7 +241,7 @@ def test_detect_subcommand(tmp_path):
     assert len(trace.read_text().splitlines()) == 2001
 
 
-def test_dse_table_and_infeasible_floor(tmp_path):
+def test_dse_table_and_infeasible_floor(cli_run, tmp_path):
     ds_path = tmp_path / "tiny.jsonl"
     tr.save_dataset(ds_path, _cluster_dataset())
     cfg_path = tmp_path / "cfg.json"
@@ -259,13 +253,11 @@ def test_dse_table_and_infeasible_floor(tmp_path):
             }
         )
     )
-    proc = run_cli(
+    out = cli_run(
         "dse", "--dataset", ds_path, "--grid", "table3", "--config", cfg_path,
-        "--out", tmp_path / "dse.json",
+        "--out", tmp_path / "dse.json", code=3, blame="no candidate",
     )
-    assert proc.returncode == 3
-    assert "no candidate" in proc.stderr
-    lines = proc.stdout.splitlines()
+    lines = out.splitlines()
     assert lines[0].split() == [
         "topology", "rf", "complexity", "cs_mean", "cs_ci_low", "ss_mean", "f_mean",
     ]
@@ -277,7 +269,7 @@ def test_dse_table_and_infeasible_floor(tmp_path):
     assert doc["selected"] is None
 
 
-def test_dse_selects_under_reachable_floor(tmp_path):
+def test_dse_selects_under_reachable_floor(cli_run, tmp_path):
     ds_path = tmp_path / "tiny.jsonl"
     tr.save_dataset(ds_path, _cluster_dataset())
     cfg_path = tmp_path / "cfg.json"
@@ -289,19 +281,18 @@ def test_dse_selects_under_reachable_floor(tmp_path):
             }
         )
     )
-    proc = run_cli(
+    out = cli_run(
         "dse", "--dataset", ds_path, "--grid", "table3", "--config", cfg_path,
         "--out", tmp_path / "dse.json", "--jobs", 2,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert "selected: " in proc.stdout
+    assert "selected: " in out
     doc = json.loads((tmp_path / "dse.json").read_text())
     sel = doc["selected"]
     assert sel is not None
     assert sel["topology"][0] == 40 and sel["topology"][-1] == 3
 
 
-def test_dse_early_exit_and_exhaustive_tables(capsys, tmp_path):
+def test_dse_early_exit_and_exhaustive_tables(cli_run, tmp_path):
     ds_path = tmp_path / "tiny.jsonl"
     tr.save_dataset(ds_path, _cluster_dataset())
     cfg_path = tmp_path / "cfg.json"
@@ -312,9 +303,8 @@ def test_dse_early_exit_and_exhaustive_tables(capsys, tmp_path):
     docs, tables = [], []
     for flags in ((), ("--exhaustive",)):
         out = tmp_path / "dse.json"
-        assert cli.main([str(a) for a in (*dse, *flags, "--out", out)]) == 0
+        tables.append(cli_run(*dse, *flags, "--out", out).splitlines())
         docs.append(json.loads(out.read_text()))
-        tables.append(capsys.readouterr().out.splitlines())
     early, full = docs
     assert early["candidates"] == full["candidates"] == 9
     assert full["evaluated"] == len(full["results"]) == 9
@@ -345,8 +335,8 @@ def _cluster_dataset():
     return tr.Dataset(np.array(waveforms), labels, ticks)
 
 
-def test_report_subcommand():
-    rep = run_json("report")
+def test_report_subcommand(cli_run):
+    rep = cli_run("report")
     assert abs(rep["power_w"]["classifier_w"] - 3.11e-5) < 1e-12
     assert rep["assumptions"]["battery_voltage_v"] == 1.5
     assert rep["assumptions"]["detector_energy_basis"] == "per_sample"
@@ -355,7 +345,7 @@ def test_report_subcommand():
     assert rep["storage"]["capacity_duration_s"] == 32 * 2**20 / 400.0
     assert 3.0 < rep["battery_life_days"] < 6.0
 
-    day = run_json("report", "--duration-s", 86400)
+    day = cli_run("report", "--duration-s", 86400)
     assert day["storage"]["required_bytes"] == 34_560_000
     assert day["storage"]["fits"] is False  # a full day overflows 32 MiB
 
@@ -408,57 +398,70 @@ print(json.dumps(seen))
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc, blame",
     [
-        '{"resources": {"spike_rate_hz": 0}}',
+        ('{"resources": {"spike_rate_hz": 0}}', "spike_rate_hz"),
         # finite inputs whose battery life overflows to infinity
-        '{"resources": {"battery_voltage_v": 1e308, "battery_capacity_mah": 1e308}}',
+        (
+            '{"resources": {"battery_voltage_v": 1e308, "battery_capacity_mah": 1e308}}',
+            "non-finite",
+        ),
     ],
     ids=["zero_spike_rate", "infinite_battery_life"],
 )
-def test_report_exits_1_on_values_it_cannot_print(capsys, tmp_path, doc):
+def test_report_exits_1_on_values_it_cannot_print(cli_run, tmp_path, doc, blame):
     cfg = tmp_path / "c.json"
     cfg.write_text(doc)
-    assert cli.main(["report", "--config", str(cfg)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    cli_run("report", "--config", cfg, code=1, blame=blame)
 
 
-def test_exit_codes(tmp_path, chain):
+def test_exit_codes(cli_run, tmp_path, chain):
     p, _ = chain
 
-    assert run_cli().returncode == 1  # missing subcommand
-    assert run_cli("generate", "--annotations", tmp_path / "x.csv").returncode == 1
+    cli_run(code=1, blame="command")  # missing subcommand
+    cli_run("generate", "--annotations", tmp_path / "x.csv", code=1, blame="--out")
 
     bad_section = tmp_path / "bad1.json"
     bad_section.write_text(json.dumps({"nope": {}}))
-    proc = run_cli("report", "--config", bad_section)
-    assert proc.returncode == 1 and "unknown sections" in proc.stderr
+    cli_run("report", "--config", bad_section, code=1, blame="unknown sections")
 
     bad_key = tmp_path / "bad2.json"
     bad_key.write_text(json.dumps({"detector": {"bogus": 1}}))
-    proc = run_cli("report", "--config", bad_key)
-    assert proc.returncode == 1 and "unknown keys" in proc.stderr
+    cli_run("report", "--config", bad_key, code=1, blame="unknown keys")
 
     not_json = tmp_path / "bad3.json"
     not_json.write_text("{nope")
-    assert run_cli("report", "--config", not_json).returncode == 1
+    cli_run("report", "--config", not_json, code=1, blame="bad3.json")
 
-    assert run_cli("detect", "--in", tmp_path / "missing.spkr").returncode == 2
+    cli_run("detect", "--in", tmp_path / "missing.spkr", code=2, blame="missing.spkr")
 
     junk = tmp_path / "junk.spkr"
     junk.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
-    assert run_cli("detect", "--in", junk).returncode == 2
-    assert (
-        run_cli("metrics", "--events", junk, "--annotations", p["ann"]).returncode == 2
+    cli_run("detect", "--in", junk, code=2, blame="junk.spkr")
+    cli_run("metrics", "--events", junk, "--annotations", p["ann"], code=2, blame="junk.spkr")
+
+    run = ("run", "--in", p["rec"], "--model", p["model"], "--out", tmp_path / "e.spkevt")
+    cli_run(*run, code=1, blame="quantized")
+
+    train = ("train", "--dataset", p["ds"], "--out", tmp_path / "m.json")
+    cli_run(*train, "--topology", "40,x,3", code=1, blame="topology")
+    cli_run(*train, "--topology", "39,3", code=1, blame="topology")
+
+
+def test_memory_error_exits_1(cli_run, monkeypatch, tmp_path):
+    # a model too large for memory, refused here rather than allocated
+    def refuse(topology, rng):
+        raise MemoryError(f"Unable to allocate a {topology} model")
+
+    monkeypatch.setattr(tr, "init_model", refuse)
+    ds = tmp_path / "ds.jsonl"
+    tr.save_dataset(ds, _cluster_dataset())
+    model = tmp_path / "m.json"
+    cli_run(
+        "train", "--dataset", ds, "--topology", "40,100000000,3", "--out", model,
+        code=1, blame="Unable to allocate",
     )
-
-    proc = run_cli("run", "--in", p["rec"], "--model", p["model"], "--out", tmp_path / "e.spkevt")
-    assert proc.returncode == 1 and "quantized" in proc.stderr
-
-    assert run_cli("train", "--dataset", p["ds"], "--topology", "40,x,3", "--out", tmp_path / "m.json").returncode == 1
-    assert run_cli("train", "--dataset", p["ds"], "--topology", "39,3", "--out", tmp_path / "m.json").returncode == 1
+    assert not model.exists()
 
 
 @pytest.fixture
@@ -481,19 +484,6 @@ def _corrupt(path, key, value, index=0):
     path.write_text(json.dumps(doc))
 
 
-def main_exit(capsys, *args, blame=""):
-    """Run the CLI in-process; an escaping exception fails the test outright.
-
-    A failing run must print one error line that names `blame`.
-    """
-    code = cli.main([str(a) for a in args])
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if code:
-        assert err.startswith("error: ") and blame in err
-    return code
-
-
 @pytest.mark.parametrize(
     "kind, key, value",
     [
@@ -514,18 +504,18 @@ def main_exit(capsys, *args, blame=""):
         ("q", "q_biases", [2**31 - 1, 0, 0]),
     ],
 )
-def test_malformed_model_exits_2(capsys, model_files, kind, key, value):
+def test_malformed_model_exits_2(cli_run, model_files, kind, key, value):
     model = model_files / f"{kind}.json"
     _corrupt(model, key, value)
     out = model_files / "out"
     if kind == "q":
         run = ("run", "--in", model_files / "r.spkr", "--model", model, "--out", out)
-        assert main_exit(capsys, *run, blame=model.name) == 2
+        cli_run(*run, code=2, blame=model.name)
     quantize = ("quantize", "--model", model, "--calib", model_files / "none.jsonl", "--out", out)
-    assert main_exit(capsys, *quantize, blame=model.name) == 2
+    cli_run(*quantize, code=2, blame=model.name)
 
 
-def test_malformed_dataset_exits_2(capsys, tmp_path):
+def test_malformed_dataset_exits_2(cli_run, tmp_path):
     line = {"tick": 5, "label": "SS", "waveform": [0] * 40}
     ds = tmp_path / "ds.jsonl"
     train = ("train", "--dataset", ds, "--topology", "40,3", "--out", tmp_path / "m.json")
@@ -537,24 +527,24 @@ def test_malformed_dataset_exits_2(capsys, tmp_path):
         {"waveform": [1.5] * 40},
     ):
         ds.write_text(json.dumps(dict(line, **bad)) + "\n")
-        assert main_exit(capsys, *train, blame="ds.jsonl:1") == 2
+        cli_run(*train, code=2, blame="ds.jsonl:1")
     ds.write_bytes(json.dumps(line).encode() + b"\n\xff\xfe\n")
-    assert main_exit(capsys, *train, blame="ds.jsonl:2") == 2
+    cli_run(*train, code=2, blame="ds.jsonl:2")
 
 
-def test_non_utf8_files_exit_cleanly(capsys, model_files):
+def test_non_utf8_files_exit_cleanly(cli_run, model_files):
     root = model_files
     junk = root / "junk.json"
     junk.write_bytes(b"\xff\xfe\x00\x81")
-    assert main_exit(capsys, "report", "--config", junk, blame="junk.json") == 1
+    cli_run("report", "--config", junk, code=1, blame="junk.json")
     quantize = ("quantize", "--model", junk, "--calib", junk, "--out", root / "o.json")
-    assert main_exit(capsys, *quantize, blame="junk.json") == 2
+    cli_run(*quantize, code=2, blame="junk.json")
 
 
-def test_unreadable_files_exit_2(capsys, model_files):
+def test_unreadable_files_exit_2(cli_run, model_files):
     root = model_files
     run = ("run", "--in", root, "--model", root / "q.json", "--out", root / "e.spkevt")
-    assert main_exit(capsys, *run, blame="Is a directory") == 2
+    cli_run(*run, code=2, blame="Is a directory")
     build = ("build-dataset", "--in", root / "r.spkr", "--out", root / "ds.jsonl")
     ann = root / "ann.csv"
     for body in (
@@ -562,10 +552,10 @@ def test_unreadable_files_exit_2(capsys, model_files):
         b"sample_index,label\n" + b"1" * 200_000 + b",SS\n",  # beyond csv's field limit
     ):
         ann.write_bytes(body)
-        assert main_exit(capsys, *build, "--annotations", ann, blame="ann.csv") == 2
+        cli_run(*build, "--annotations", ann, code=2, blame="ann.csv")
 
 
-def test_negative_seeds_exit_1(capsys, tmp_path):
+def test_negative_seeds_exit_1(cli_run, tmp_path):
     ds = tmp_path / "ds.jsonl"
     ds.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40}) + "\n")
     generate = ("generate", "--out", tmp_path / "r.spkr", "--annotations", tmp_path / "a.csv")
@@ -574,10 +564,10 @@ def test_negative_seeds_exit_1(capsys, tmp_path):
         ("train", "--dataset", ds, "--topology", "40,3", "--out", tmp_path / "m.json"),
         ("dse", "--dataset", ds),
     ):
-        assert main_exit(capsys, *args, "--seed", "-1", blame="--seed") == 1
+        cli_run(*args, "--seed", "-1", code=1, blame="--seed")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"recording": {"seed": -3}}))
-    assert main_exit(capsys, *generate, "--config", cfg, blame="seed") == 1
+    cli_run(*generate, "--config", cfg, code=1, blame="seed")
     assert not (tmp_path / "r.spkr").exists()
 
 
@@ -586,16 +576,12 @@ def test_negative_seeds_exit_1(capsys, tmp_path):
     "command, flag, value",
     [("dse", "--jobs", "0"), ("dse", "--jobs", "-3"), ("detect", "--trace-limit", "-1")],
 )
-def test_out_of_range_count_flags_exit_1(capsys, tmp_path, command, flag, value):
+def test_out_of_range_count_flags_exit_1(cli_run, tmp_path, command, flag, value):
     required = {
         "dse": ("--dataset", tmp_path / "ds.jsonl"),
         "detect": ("--in", tmp_path / "r.spkr", "--trace", tmp_path / "t.csv"),
     }[command]
-    code = cli.main([str(a) for a in (command, *required, flag, value)])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
-    assert flag in err and "Traceback" not in err
+    cli_run(command, *required, flag, value, code=1, blame=flag)
     assert not any(tmp_path.iterdir())
 
 
@@ -614,32 +600,28 @@ def test_out_of_range_count_flags_exit_1(capsys, tmp_path, command, flag, value)
         ([], {"synthesis": {"min_interval_ms": 1e308}}, "min_interval_ms"),
     ],
 )
-def test_generate_refuses_what_it_cannot_draw_exit_1(capsys, tmp_path, flags, doc, blame):
+def test_generate_refuses_what_it_cannot_draw_exit_1(cli_run, tmp_path, flags, doc, blame):
     args = ["generate", "--out", tmp_path / "r.spkr", "--annotations", tmp_path / "a.csv", *flags]
     if doc is not None:
         (tmp_path / "c.json").write_text(json.dumps(doc))
         args += ["--config", tmp_path / "c.json"]
-    code = cli.main([str(a) for a in args])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("error:") == 1 and err.count("\n") == 1
-    assert blame in err and "Traceback" not in err
+    cli_run(*args, code=1, blame=blame)
     assert not (tmp_path / "r.spkr").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_values_exit_1(capsys, model_files, value):
+def test_non_finite_values_exit_1(cli_run, model_files, value):
     root = model_files
     generate = ("generate", "--out", root / "g.spkr", "--annotations", root / "g.csv")
     # the = form, since argparse takes a bare -inf for an option
-    assert main_exit(capsys, *generate, f"--duration-s={value}", blame="duration_s") == 1
+    cli_run(*generate, f"--duration-s={value}", code=1, blame="duration_s")
     assert not (root / "g.spkr").exists()
 
     ds = root / "ds.jsonl"
     ds.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40}) + "\n")
     train = ("train", "--dataset", ds, "--topology", "40,3", "--out", root / "m.json")
     args = (*train, f"--ortho-lambda={value}", "--log", root / "log.jsonl")
-    assert main_exit(capsys, *args, blame="ortho_lambda") == 1
+    cli_run(*args, code=1, blame="ortho_lambda")
     assert not (root / "m.json").exists()
 
     # Python's json reads NaN and Infinity, so a config file can carry them
@@ -647,19 +629,19 @@ def test_non_finite_values_exit_1(capsys, model_files, value):
     literal = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[value]
     cfg.write_text('{"detector": {"threshold_gain": %s}}' % literal)
     run = ("run", "--in", root / "r.spkr", "--model", root / "q.json", "--out", root / "e.spkevt")
-    assert main_exit(capsys, *run, "--config", cfg, blame="threshold_gain") == 1
+    cli_run(*run, "--config", cfg, code=1, blame="threshold_gain")
     assert not (root / "e.spkevt").exists()
 
     # float flags that reach library functions rather than a config section
     signal.write_annotations(root / "a.csv", [])
     build = ("build-dataset", "--in", root / "r.spkr", "--annotations", root / "a.csv")
     args = (*build, "--out", root / "b.jsonl", f"--label-window-ms={value}")
-    assert main_exit(capsys, *args, blame="label_window_ms") == 1
+    cli_run(*args, code=1, blame="label_window_ms")
     assert not (root / "b.jsonl").exists()
     store.write_event_log(root / "e0.spkevt", [], 24414.0)
     metrics = ("metrics", "--events", root / "e0.spkevt", "--annotations", root / "a.csv")
-    assert main_exit(capsys, *metrics, f"--tolerance-ms={value}", blame="tolerance_ms") == 1
-    assert main_exit(capsys, "report", f"--duration-s={value}", blame="duration") == 1
+    cli_run(*metrics, f"--tolerance-ms={value}", code=1, blame="tolerance_ms")
+    cli_run("report", f"--duration-s={value}", code=1, blame="duration")
 
 
 # every float a config file can set in these sections; NaN passes a plain
@@ -674,7 +656,7 @@ NON_FINITE_KEYS = [
 
 
 @pytest.mark.parametrize("section,key", NON_FINITE_KEYS, ids=[".".join(k) for k in NON_FINITE_KEYS])
-def test_non_finite_config_values_exit_1(capsys, tmp_path, section, key):
+def test_non_finite_config_values_exit_1(cli_run, tmp_path, section, key):
     store.write_event_log(tmp_path / "e.spkevt", [store.EventRecord(5, SpikeClass.SS)], 24414.0)
     out = tmp_path / "out"
     command = {
@@ -685,12 +667,12 @@ def test_non_finite_config_values_exit_1(capsys, tmp_path, section, key):
     cfg = tmp_path / "c.json"
     for literal in ("NaN", "Infinity", "-Infinity"):
         cfg.write_text('{"%s": {"%s": %s}}' % (section, key, literal))
-        assert main_exit(capsys, *command, "--config", cfg, blame=key) == 1
+        cli_run(*command, "--config", cfg, code=1, blame=key)
         assert not out.exists()
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-def test_non_finite_dse_config_exits_1(capsys, tmp_path, literal):
+def test_non_finite_dse_config_exits_1(cli_run, tmp_path, literal):
     # a NaN floor would reject every candidate, but only after the whole search
     ds = tmp_path / "tiny.jsonl"
     tr.save_dataset(ds, _cluster_dataset())
@@ -699,7 +681,7 @@ def test_non_finite_dse_config_exits_1(capsys, tmp_path, literal):
     dse = ("dse", "--dataset", ds, "--config", cfg, "--out", tmp_path / "dse.json")
     for key, value in (("cs_floor", literal), ("ortho_lambdas", f"[0.01, {literal}]")):
         cfg.write_text('{"dse": {"folds": 2, "%s": %s}, %s}' % (key, value, train))
-        assert main_exit(capsys, *dse, blame=key) == 1
+        cli_run(*dse, code=1, blame=key)
         assert not (tmp_path / "dse.json").exists()
 
 
@@ -727,39 +709,37 @@ def test_non_finite_dse_config_exits_1(capsys, tmp_path, literal):
         {"recording": {"sample_rate_hz": 1e308}},
     ],
 )
-def test_malformed_config_value_exits_1(capsys, tmp_path, doc):
+def test_malformed_config_value_exits_1(cli_run, tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    assert main_exit(capsys, "report", "--config", path, blame=f"'{next(iter(doc))}'") == 1
+    cli_run("report", "--config", path, code=1, blame=f"'{next(iter(doc))}'")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_diverging_training_exits_1(capsys, tmp_path):
+def test_diverging_training_exits_1(cli_run, tmp_path):
     ds = tmp_path / "ds.jsonl"
     tr.save_dataset(ds, _cluster_dataset())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"train": {"learning_rate": 1e300, "epochs": 3}}))
     model, log = tmp_path / "m.json", tmp_path / "log.jsonl"
     train = ("train", "--dataset", ds, "--topology", "40,3", "--out", model, "--log", log)
-    assert cli.main([str(a) for a in (*train, "--config", cfg)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "diverged" in err[0]
+    cli_run(*train, "--config", cfg, code=1, blame="diverged")
     assert not model.exists() and not log.exists()
 
 
-def test_config_value_types(capsys, tmp_path):
+def test_config_value_types(cli_run, tmp_path):
     path = tmp_path / "cfg.json"
     # an integer where a float is declared, and null where the field allows it
     path.write_text(json.dumps({"train": {"learning_rate": 1}, "detector": {"neo_clip_ratio": None}}))
-    assert main_exit(capsys, "report", "--config", path) == 0
+    cli_run("report", "--config", path)
     ds = tmp_path / "ds.jsonl"
     ds.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40}) + "\n")
     path.write_text(json.dumps({"train": {"batch_size": 2.5}}))
     train = ("train", "--dataset", ds, "--topology", "40,3", "--out", tmp_path / "m.json")
-    assert main_exit(capsys, *train, "--config", path, blame="'train'") == 1
+    cli_run(*train, "--config", path, code=1, blame="'train'")
 
 
-def test_every_command_reads_its_config(capsys, model_files):
+def test_every_command_reads_its_config(cli_run, model_files):
     # main loads --config before any command runs, including those that use no section
     root = model_files
     cfg = root / "c.json"
@@ -771,20 +751,19 @@ def test_every_command_reads_its_config(capsys, model_files):
     quantize = ("quantize", "--model", root / "f.json", "--calib", root / "ds.jsonl", "--out", out)
     metrics = ("metrics", "--events", root / "e.spkevt", "--annotations", root / "a.csv")
     for args in (quantize, metrics):
-        assert cli.main([str(a) for a in (*args, "--config", cfg)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and not out.exists()
-        assert captured.err.startswith("error: ") and "unknown sections" in captured.err
+        cli_run(*args, "--config", cfg, code=1, blame="unknown sections")
+        assert not out.exists()
     # without the config both run, so the refusals above came from the config alone
-    assert main_exit(capsys, *quantize) == 0 and out.exists()
-    assert main_exit(capsys, *metrics) == 0
+    cli_run(*quantize)
+    assert out.exists()
+    cli_run(*metrics)
 
 
-def test_config_override(chain, tmp_path):
+def test_config_override(cli_run, chain, tmp_path):
     p, out = chain
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"postprocess": {"dead_zone_ms": 0.0}}))
-    rep = run_json(
+    rep = cli_run(
         "postprocess", "--in", p["events"], "--out", tmp_path / "same.spkevt",
         "--config", cfg,
     )
@@ -792,8 +771,7 @@ def test_config_override(chain, tmp_path):
     assert rep["dead_zone_ms"] == 0.0
 
 
-def test_help_text():
-    proc = run_cli("--help")
-    assert proc.returncode == 0
-    assert "config file sections" in proc.stdout
-    assert "build-dataset" in proc.stdout
+def test_help_text(cli_run):
+    out = cli_run("--help")
+    assert "config file sections" in out
+    assert "build-dataset" in out

@@ -9,6 +9,8 @@ from spikestage import detector as det
 from spikestage.config import DetectorConfig
 from spikestage.errors import ValidationError
 
+from oracles import smoothed_energy
+
 
 def test_iir_hand_example():
     # alpha 0.5, zero start: y0 = 0.5*4 = 2, y1 = 0.5*0 + 0.5*2 = 1
@@ -65,11 +67,6 @@ def test_streaming_neo_equals_batch():
             det.detector_step(state, cfg, v)
             streamed[i] = state.neo_raw
         assert np.array_equal(streamed, det.neo_stream(x))
-
-
-def smoothed_energy(x, cfg):
-    """The smoothed energy of a whole stream, from one call of each array primitive."""
-    return det.smooth(det.neo_stream(det.smooth(x, cfg.alpha_signal)), cfg.alpha_neo)
 
 
 def test_trace_matches_step_loop_bitexact(recording):

@@ -60,8 +60,8 @@ def test_infer_float_batch_matches_single():
 
 
 def test_classify_ties_take_lowest_index():
-    # the deployed class is the argmax of the int8 logits; one-hot inputs
-    # pick the weight columns, giving logits [1, 1, 0], [0, 2, 2], [-1, -1, -1]
+    # the deployed class is the argmax of the int32 accumulators; one-hot
+    # inputs pick the weight columns, giving [1, 1, 0], [0, 2, 2], [-1, -1, -1]
     layer = nn.QuantizedLayer(
         q_weights=np.array([[1, 0, -1], [1, 2, -1], [0, 2, -1]], dtype=np.int8),
         q_biases=np.zeros(3, dtype=np.int32),
@@ -71,7 +71,8 @@ def test_classify_ties_take_lowest_index():
         output_scale=1.0,
     )
     logits = nn.infer_quantized_batch(nn.QuantizedMlpModel([layer]), np.eye(3, dtype=np.int8))
-    assert logits.tolist() == [[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [-1.0, -1.0, -1.0]]
+    assert logits.dtype == np.int32
+    assert logits.tolist() == [[1, 1, 0], [0, 2, 2], [-1, -1, -1]]
     assert logits.argmax(axis=1).tolist() == [nn.SpikeClass.CS, nn.SpikeClass.SS, nn.SpikeClass.CS]
 
 
@@ -304,8 +305,8 @@ def test_requantize_rounds_halves_to_even():
     model = nn.QuantizedMlpModel([hidden, out])
     X = np.array([[1], [3], [5], [7]], dtype=np.int8)
     first = nn.infer_quantized_batch(model, X)[:, 0]
-    # 0.5 -> 0, 1.5 -> 2, 2.5 -> 2 (not 3), 3.5 -> 4, then x2 at the output
-    assert first.tolist() == [0.0, 4.0, 4.0, 8.0]
+    # 0.5 -> 0, 1.5 -> 2, 2.5 -> 2 (not 3), 3.5 -> 4, read off the output accumulators
+    assert first.tolist() == [0, 2, 2, 4]
 
 
 def test_quantized_activation_clipping(trained):
@@ -318,15 +319,18 @@ def test_quantized_activation_clipping(trained):
 
 
 def integer_forward(layers, x):
-    """Pure-Python reference of the int8 forward pass, on unbounded integers."""
+    """Pure-Python reference of the int8 forward pass, on unbounded integers.
+
+    Returns the last layer's accumulators.
+    """
     h = [int(v) for v in x]
     for i, layer in enumerate(layers):
         rows = zip(layer.q_weights.tolist(), layer.q_biases.tolist())
         acc = [b + sum(w * v for w, v in zip(row, h)) for row, b in rows]
-        scale = layer.input_scale * layer.weight_scale
         if i == len(layers) - 1:
-            return [a * scale for a in acc]
-        h = [min(max(round(a * (scale / layer.output_scale)), -128), 127) for a in acc]
+            return acc
+        scale = layer.input_scale * layer.weight_scale / layer.output_scale
+        h = [min(max(round(a * scale), -128), 127) for a in acc]
         if layer.activation == "relu":
             h = [max(v, 0) for v in h]
 
