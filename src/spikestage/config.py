@@ -266,7 +266,7 @@ def load_config(path=None) -> AppConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise ValidationError(f"{path}: config is not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: config root must be a JSON object")

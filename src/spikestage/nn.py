@@ -309,7 +309,7 @@ def load_model(path) -> MlpModel | QuantizedMlpModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "kind" not in doc or "layers" not in doc:
         raise FormatError(f"{path}: not a model file")

@@ -24,6 +24,7 @@ rows sorted by sample index, labels ``SS`` or ``CS``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import stat
@@ -228,6 +229,28 @@ def write_annotations(path, annotations: list[Annotation]) -> None:
         writer.writerow(["sample_index", "label"])
         for ann in annotations:
             writer.writerow([ann.sample_index, ann.label.name])
+
+
+def read_form_or_lines(path, line_form, bulk, per_line):
+    """Read a text file in bulk when every line is in one writer's form, else line by line.
+
+    `line_form` is a compiled bytes pattern for one whole line in the form
+    its writer produces: anchored with `(?m)^`, holding no newline before
+    the one it ends with, and linear in time on any input.  When the file
+    ends in a newline and `line_form.findall` finds one match per line, the
+    result is `bulk(data, found)`: the file's bytes and those matches.  Any
+    other file, valid in another form or not valid at all, reads as
+    `per_line(path, lines)` over the same bytes, a binary file's lines, so
+    its result and its error messages are the line reader's.  The file is
+    read once either way, so a pipe reads too.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    found = line_form.findall(data)
+    if data.endswith(b"\n") and len(found) == data.count(b"\n"):
+        return bulk(data, found)
+    del found
+    return per_line(path, io.BytesIO(data))
 
 
 _ANNOTATION_LABELS = {SpikeClass.SS.name: SpikeClass.SS, SpikeClass.CS.name: SpikeClass.CS}

@@ -21,6 +21,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -46,7 +47,7 @@ from .nn import (
     layer_outputs,
     quantize,
 )
-from .signal import Annotation
+from .signal import Annotation, read_form_or_lines
 
 
 class LabeledWaveform(NamedTuple):
@@ -177,43 +178,120 @@ def label_detections(ticks, annotations: list[Annotation], window: float) -> np.
     return labels
 
 
+def _text_table(texts: list[bytes]) -> np.ndarray:
+    """uint8 [len(texts), longest]: text i in row i, padded with zero bytes."""
+    width = max(map(len, texts))
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
+
+
+# The dataset file is json.dumps' default form of each row's dict, one per
+# line, built here from byte tables: row c + 128 of a code table is int8
+# code c as text.  Zero bytes pad each table to one width and are dropped.
+_CODE_TEXT = _text_table([b"%d, " % code for code in range(-128, 128)])
+_LAST_CODE_TEXT = _text_table([b"%d]}\n" % code for code in range(-128, 128)])
+_LABEL_TEXT = _text_table([klass.name.encode() for klass in SpikeClass])
+_TICK_WIDTH = 20  # len(str(-2**63))
+_BLOCK_ROWS = 1024  # rows rendered at a time, so the writer's peak does not grow
+
+# One line in exactly the form save_dataset writes, its label captured.  The
+# reader matches it at every line start of arbitrary input, so it must take
+# linear time: each token has one way to match each length (no nested or
+# adjacent optional digits).  Codes are int8 and ticks at most 18 digits, so
+# a line in this form always holds an int64 tick and int8 codes.
+_CODE_FORM = rb"(?:0|-?[1-9][0-9]?|-?1[01][0-9]|-?12[0-7]|-128)"
+_DATASET_LINE = re.compile(
+    rb'(?m)^\{"tick": (?:0|-?[1-9][0-9]{0,17}), "label": "('
+    + b"|".join(klass.name.encode() for klass in SpikeClass)
+    + rb')", "waveform": \[(?:' + _CODE_FORM + rb", ){%d}" % (WAVEFORM_SAMPLES - 1)
+    + _CODE_FORM + rb"\]\}\n"
+)
+# bytes.translate table that blanks everything but the numbers of a line
+_NUMBER_BYTES = bytes(c if chr(c) in "-0123456789" else ord(" ") for c in range(256))
+_BLOCK_BYTES = 1 << 18  # file bytes parsed at a time, so the reader's peak stays near the file size
+
+
+def _dataset_text(dataset: Dataset) -> bytes:
+    """The lines save_dataset writes for a non-empty dataset."""
+    n = len(dataset)
+
+    def text(s: bytes) -> np.ndarray:
+        return np.broadcast_to(np.frombuffer(s, np.uint8), (n, len(s)))
+
+    codes = dataset.waveforms.astype(np.intp) + 128
+    ticks = dataset.ticks.astype(f"S{_TICK_WIDTH}").view(np.uint8).reshape(n, _TICK_WIDTH)
+    cells = np.concatenate(
+        [
+            text(b'{"tick": '),
+            ticks,
+            text(b', "label": "'),
+            _LABEL_TEXT[dataset.labels],
+            text(b'", "waveform": ['),
+            _CODE_TEXT[codes[:, :-1]].reshape(n, -1),
+            _LAST_CODE_TEXT[codes[:, -1]],
+        ],
+        axis=1,
+    )
+    return cells[cells != 0].tobytes()
+
+
 def save_dataset(path, dataset: Dataset) -> None:
-    """One JSON object per line: tick, label, waveform."""
-    names = [klass.name for klass in SpikeClass]
-    columns = zip(dataset.ticks.tolist(), dataset.labels.tolist(), dataset.waveforms.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        for tick, label, waveform in columns:
-            fh.write(json.dumps({"tick": tick, "label": names[label], "waveform": waveform}))
-            fh.write("\n")
+    """One JSON object per line, as json.dumps writes {"tick", "label", "waveform"}."""
+    with open(path, "wb") as fh:
+        for start in range(0, len(dataset), _BLOCK_ROWS):
+            fh.write(_dataset_text(dataset[start : start + _BLOCK_ROWS]))
+
+
+def _dataset_columns(data: bytes, labels: list[bytes]) -> Dataset:
+    """The dataset in a file whose every line is in _DATASET_LINE, parsed a block at a time."""
+    codes = {klass.name.encode(): int(klass) for klass in SpikeClass}
+    ticks = np.empty(len(labels), np.int64)
+    waveforms = np.empty((len(labels), WAVEFORM_SAMPLES), np.int8)
+    row = start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        text = data[start:end].translate(_NUMBER_BYTES)
+        block = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 1 + WAVEFORM_SAMPLES)
+        ticks[row : row + len(block)] = block[:, 0]
+        waveforms[row : row + len(block)] = block[:, 1:]
+        row, start = row + len(block), end
+    return Dataset(waveforms, [codes[label] for label in labels], ticks)
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset file: save_dataset's own form in bulk, any other through load_dataset_lines."""
+    return read_form_or_lines(path, _DATASET_LINE, _dataset_columns, load_dataset_lines)
+
+
+def load_dataset_lines(path, lines) -> Dataset:
+    """The dataset in `lines`, a binary file's lines, one JSON row each; `path` names it.
+
+    Every refusal of a bad dataset file is made here.
+    """
     ticks, labels, waveforms = [], [], []
     # bytes, so that a line that is not UTF-8 fails inside the per-line check
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                label = SpikeClass[doc["label"]]
-                waveform = doc["waveform"]
-                tick = doc["tick"]
-            except (ValueError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path}:{lineno}: malformed dataset line ({exc})") from exc
-            # exact types: bool is a subclass of int, and true/false are not samples
-            if type(tick) is not int or not -(2**63) <= tick < 2**63:
-                raise FormatError(f"{path}:{lineno}: tick must be a 64-bit integer")
-            if type(waveform) is not list or len(waveform) != WAVEFORM_SAMPLES:
-                raise FormatError(f"{path}:{lineno}: waveform must have {WAVEFORM_SAMPLES} samples")
-            if set(map(type, waveform)) != {int}:
-                raise FormatError(f"{path}:{lineno}: waveform values must be int8 integers")
-            if min(waveform) < -128 or max(waveform) > 127:
-                raise FormatError(f"{path}:{lineno}: waveform values outside int8 range")
-            ticks.append(tick)
-            labels.append(label)
-            waveforms.append(waveform)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+            label = SpikeClass[doc["label"]]
+            waveform = doc["waveform"]
+            tick = doc["tick"]
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed dataset line ({exc})") from exc
+        # exact types: bool is a subclass of int, and true/false are not samples
+        if type(tick) is not int or not -(2**63) <= tick < 2**63:
+            raise FormatError(f"{path}:{lineno}: tick must be a 64-bit integer")
+        if type(waveform) is not list or len(waveform) != WAVEFORM_SAMPLES:
+            raise FormatError(f"{path}:{lineno}: waveform must have {WAVEFORM_SAMPLES} samples")
+        if set(map(type, waveform)) != {int}:
+            raise FormatError(f"{path}:{lineno}: waveform values must be int8 integers")
+        if min(waveform) < -128 or max(waveform) > 127:
+            raise FormatError(f"{path}:{lineno}: waveform values outside int8 range")
+        ticks.append(tick)
+        labels.append(label)
+        waveforms.append(waveform)
     return Dataset(np.array(waveforms, dtype=np.int8).reshape(-1, WAVEFORM_SAMPLES), labels, ticks)
 
 

@@ -541,6 +541,18 @@ def test_non_utf8_files_exit_cleanly(cli_run, model_files):
     cli_run(*quantize, code=2, blame="junk.json")
 
 
+def test_deeply_nested_json_exits_cleanly(cli_run, model_files):
+    # json stops at Python's recursion limit with a RecursionError
+    root = model_files
+    deep = root / "deep.json"
+    deep.write_text("[" * 100_000)
+    cli_run("report", "--config", deep, code=1, blame="deep.json")
+    run = ("run", "--in", root / "r.spkr", "--model", deep, "--out", root / "e.spkevt")
+    cli_run(*run, code=2, blame="deep.json")
+    train =("train", "--dataset", deep, "--topology", "40,3", "--out", root / "m.json")
+    cli_run(*train, code=2, blame="deep.json:1")
+
+
 def test_unreadable_files_exit_2(cli_run, model_files):
     root = model_files
     run = ("run", "--in", root, "--model", root / "q.json", "--out", root / "e.spkevt")

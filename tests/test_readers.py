@@ -5,16 +5,17 @@ The commands that read those files turn the refusal into exit 1 or 2 and one
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikestage import nn, signal, store
 from spikestage import train as tr
 from spikestage.config import RecordingConfig
-from spikestage.errors import SpikestageError
+from spikestage.errors import FormatError, SpikestageError
 from spikestage.nn import SpikeClass
 
 READERS = {
@@ -91,8 +92,15 @@ def mutate(data: bytes, mutations) -> bytes:
     return bytes(buf)
 
 
+# Row 0 of the valid dataset with the space after its 38th code flipped to
+# 0xe7, "...38, 38, 50,\xe794, -54]}": a form check that backtracks
+# exponentially on the 37 numbers before the stray byte hangs on it.
+STRAY_BYTE_DATASET = ("dataset", [("flip", 214, 0x20 ^ 0xE7)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(sorted(READERS)), mutations=MUTATIONS)
+@example(*STRAY_BYTE_DATASET)
 def test_mutated_files_raise_only_spikestage_errors(tmp_path_factory, valid_files, name, mutations):
     path = tmp_path_factory.getbasetemp() / f"mutated_{name}"
     path.write_bytes(mutate(valid_files[name], mutations))
@@ -100,6 +108,42 @@ def test_mutated_files_raise_only_spikestage_errors(tmp_path_factory, valid_file
         READERS[name](path)
     except SpikestageError:
         pass
+
+
+def test_dataset_form_check_takes_linear_time(tmp_path, valid_files):
+    name, mutations = STRAY_BYTE_DATASET
+    mutant = mutate(valid_files[name], mutations)
+    assert b"50,\xe794, -54]}" in mutant
+    path = tmp_path / "mutant.jsonl"
+    for data in (mutant, valid_files[name] * 2000 + mutant):
+        path.write_bytes(data)
+        started = time.perf_counter()
+        with pytest.raises(FormatError, match="codec can't decode byte 0xe7"):
+            tr.load_dataset(path)
+        assert time.perf_counter() - started < 5.0
+
+
+def dataset_or_error(read, path):
+    """read(path)'s columns as lists, or the message of the FormatError it raised."""
+    try:
+        ds = read(path)
+    except FormatError as exc:
+        return str(exc)
+    return ds.ticks.tolist(), ds.labels.tolist(), ds.waveforms.tolist()
+
+
+def read_lines(path):
+    with open(path, "rb") as fh:
+        return tr.load_dataset_lines(path, fh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=MUTATIONS)
+@example(STRAY_BYTE_DATASET[1])
+def test_mutated_dataset_reads_as_the_line_reader_reads_it(tmp_path_factory, valid_files, mutations):
+    path = tmp_path_factory.getbasetemp() / "mutated_dataset_lines"
+    path.write_bytes(mutate(valid_files["dataset"], mutations))
+    assert dataset_or_error(tr.load_dataset, path) == dataset_or_error(read_lines, path)
 
 
 @settings(max_examples=200, deadline=None)

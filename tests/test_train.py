@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
 from spikestage import nn, signal
@@ -15,6 +17,8 @@ from spikestage.analysis import overall_accuracy
 from spikestage.config import DseConfig, TrainConfig
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
+
+from oracles import dataset_jsonl
 
 
 def make_cluster_dataset(counts=(20, 20, 20), seed=0, spread=4.0):
@@ -545,6 +549,85 @@ def test_dataset_bytes_are_pinned(tmp_path, dataset):
     path = tmp_path / "ds.jsonl"
     tr.save_dataset(path, dataset)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DATASET_SHA256
+
+
+# the tick widths at the edges of the bulk reader's form: at most 18 digits
+# read in bulk, 19 digits and int64's ends through the per-line reader
+SHORT_TICKS = (0, 10**18 - 1, -(10**18 - 1))
+LONG_TICKS = (10**18, -(2**63), 2**63 - 1)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(0, 60))
+    short = st.sampled_from(SHORT_TICKS) | st.integers(-(10**18 - 1), 10**18 - 1)
+    ticks = short | st.sampled_from(LONG_TICKS) if draw(st.booleans()) else short
+    return tr.Dataset(
+        draw(hnp.arrays(np.int8, (n, 40), elements=st.integers(-128, 127))),
+        draw(hnp.arrays(np.int64, n, elements=st.sampled_from([int(k) for k in SpikeClass]))),
+        draw(hnp.arrays(np.int64, n, elements=ticks)),
+    )
+
+
+def refuse_json(line):
+    raise AssertionError("a file in save_dataset's form was read through json.loads")
+
+
+EVERY_CODE = tr.Dataset(
+    np.resize(np.arange(-128, 128), (7, 40)), [0, 1, 2, 0, 1, 2, 0], [0, *SHORT_TICKS, *LONG_TICKS]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=datasets())
+@example(ds=EVERY_CODE)
+@example(ds=EVERY_CODE[:4])
+def test_dataset_file_is_json_dumps_form(tmp_path_factory, ds):
+    path = tmp_path_factory.getbasetemp() / "drawn.jsonl"
+    tr.save_dataset(path, ds)
+    expected = dataset_jsonl(ds)
+    assert path.read_bytes() == expected
+    rows = [json.loads(line) for line in expected.splitlines()]
+    bulk = all(len(str(abs(tick))) <= 18 for tick in ds.ticks.tolist())
+    with pytest.MonkeyPatch.context() as mp:
+        if bulk:  # and it must take the bulk path
+            mp.setattr(tr.json, "loads", refuse_json)
+        loaded = tr.load_dataset(path)
+    assert loaded.ticks.tolist() == [row["tick"] for row in rows]
+    assert loaded.labels.tolist() == [SpikeClass[row["label"]] for row in rows]
+    assert loaded.waveforms.tolist() == [row["waveform"] for row in rows]
+
+
+def test_saved_dataset_loads_without_json(tmp_path, monkeypatch, dataset):
+    # a bulk path that always fell back would pass every other test
+    path = tmp_path / "ds.jsonl"
+    tr.save_dataset(path, dataset)
+    monkeypatch.setattr(tr.json, "loads", refuse_json)
+    loaded = tr.load_dataset(path)
+    assert np.array_equal(loaded.waveforms, dataset.waveforms)
+    assert np.array_equal(loaded.labels, dataset.labels)
+    assert np.array_equal(loaded.ticks, dataset.ticks)
+
+
+def test_dataset_io_memory_is_bounded(tmp_path):
+    # the per-row-dict reader and writer peaked near 1,040 B per row here
+    rng = np.random.default_rng(0)
+    n = 20_000
+    ds = tr.Dataset(
+        rng.integers(-128, 128, (n, 40)), rng.integers(0, 3, n), np.cumsum(rng.integers(1, 2000, n))
+    )
+    path = tmp_path / "ds.jsonl"
+    peaks = []
+    for step in (lambda: tr.save_dataset(path, ds), lambda: tr.load_dataset(path)):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    save_peak, load_peak = peaks
+    assert save_peak <= 2_000_000  # one block of rows, whatever the row count
+    assert load_peak <= path.stat().st_size + 200 * n  # the file's bytes plus the columns
 
 
 # ---------------------------------------------------------------------------
