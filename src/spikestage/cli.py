@@ -21,9 +21,12 @@ too large for memory, 2 malformed or unreadable file, 3 no feasible result.
 JSON on stdout is strict: a result holding NaN or an infinity exits 1
 unprinted.
 
-The modules that pull in scipy (detector, pipeline, train) are imported
-inside the commands that run them, so report, metrics, postprocess and
-generate start without it.
+At module level this file imports only the standard library, config,
+errors and budget, none of which loads numpy.  Every numpy-backed module
+(analysis, nn, signal, store, and detector, pipeline and train, which also
+load scipy) is imported inside the commands that run it, so report, --help,
+and a usage or config error start without numpy, and metrics, postprocess
+and generate without scipy.
 """
 
 from __future__ import annotations
@@ -33,10 +36,8 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
-# detector, pipeline and train load scipy: import them inside the commands that run them
-from . import analysis, nn, signal, store
+# numpy-backed modules are imported inside the commands that run them
+from . import budget
 from .config import config_help, load_config
 from .errors import FormatError, InfeasibleError, SpikestageError, ValidationError
 
@@ -82,6 +83,8 @@ def _parse_topology(text: str) -> tuple:
         topology = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"topology must be comma-separated integers: {text!r}") from exc
+    from . import nn
+
     nn.check_topology(topology)
     return topology
 
@@ -91,6 +94,8 @@ def _parse_topology(text: str) -> tuple:
 
 
 def cmd_generate(args, cfg) -> int:
+    from . import signal
+
     rec_cfg = cfg.recording
     if args.duration_s is not None:
         rec_cfg = dataclasses.replace(rec_cfg, duration_s=args.duration_s)
@@ -114,7 +119,7 @@ def cmd_generate(args, cfg) -> int:
 
 
 def cmd_detect(args, cfg) -> int:
-    from . import detector
+    from . import analysis, detector, signal
 
     samples, rec_cfg = signal.read_recording(args.infile)
     trace = detector.detector_trace(samples, cfg.detector)
@@ -135,7 +140,9 @@ def cmd_detect(args, cfg) -> int:
 
 
 def cmd_build_dataset(args, cfg) -> int:
-    from . import train
+    import numpy as np
+
+    from . import nn, signal, train
 
     samples, rec_cfg = signal.read_recording(args.infile)
     annotations = signal.read_annotations(args.annotations)
@@ -154,7 +161,7 @@ def cmd_build_dataset(args, cfg) -> int:
 
 
 def cmd_train(args, cfg) -> int:
-    from . import train
+    from . import analysis, nn, train
 
     tcfg = cfg.train
     if args.ortho_lambda is not None:
@@ -182,7 +189,7 @@ def cmd_train(args, cfg) -> int:
 
 
 def cmd_quantize(args, cfg) -> int:
-    from . import train
+    from . import nn, train
 
     model = nn.load_model(args.model)
     if isinstance(model, nn.QuantizedMlpModel):
@@ -207,7 +214,7 @@ def cmd_quantize(args, cfg) -> int:
 
 
 def cmd_dse(args, cfg) -> int:
-    from . import train
+    from . import nn, train
 
     dataset = train.load_dataset(args.dataset)
     if args.grid == "table3":
@@ -269,7 +276,7 @@ def cmd_dse(args, cfg) -> int:
 
 
 def cmd_run(args, cfg) -> int:
-    from . import pipeline
+    from . import nn, pipeline, signal, store
 
     samples, rec_cfg = signal.read_recording(args.infile)
     if len(samples) > store.MAX_TIMESTAMP + 1:
@@ -292,6 +299,8 @@ def cmd_run(args, cfg) -> int:
 
 
 def cmd_postprocess(args, cfg) -> int:
+    from . import analysis, store
+
     events, rate = store.read_event_log(args.infile)
     kept = analysis.apply_dead_zone(events, cfg.postprocess, rate)
     store.write_event_log(args.out, kept, rate)
@@ -307,6 +316,8 @@ def cmd_postprocess(args, cfg) -> int:
 
 
 def cmd_metrics(args, cfg) -> int:
+    from . import analysis, signal, store
+
     events, rate = store.read_event_log(args.events)
     annotations = signal.read_annotations(args.annotations)
     cm = analysis.match_events(events, annotations, rate, tolerance_ms=args.tolerance_ms)
@@ -317,19 +328,18 @@ def cmd_metrics(args, cfg) -> int:
 def cmd_report(args, cfg) -> int:
     model = cfg.resources
     duration_s = args.duration_s
-    breakdown = store.power_breakdown(model)
-    required = store.storage_required(duration_s, model.spike_rate_hz)
+    breakdown = budget.power_breakdown(model)
+    required = budget.storage_required(duration_s, model.spike_rate_hz)
     _emit(
         {
             "power_w": breakdown,
-            "battery_life_days": store.battery_life_days(model),
+            "battery_life_days": budget.battery_life_days(model),
             "storage": {
                 "duration_s": duration_s,
                 "required_bytes": required,
                 "capacity_bytes": model.storage_capacity_bytes,
                 "fits": required <= model.storage_capacity_bytes,
-                "capacity_duration_s": model.storage_capacity_bytes
-                / (model.spike_rate_hz * store.RECORD_BYTES),
+                "capacity_duration_s": budget.capacity_duration_s(model),
             },
             "assumptions": {
                 "battery_voltage_v": model.battery_voltage_v,

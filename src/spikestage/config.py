@@ -29,9 +29,10 @@ def _check_fields(section) -> None:
     """Refuse a value that does not have its field's declared type.
 
     An int is accepted for a float; a bool is never a number; None only where
-    the field declares it; every float must be finite; a tuple's entries follow
-    the same rule.  Every section calls this first, so its own range rules
-    compare plain numbers (NaN is gone by then).
+    the field declares it; a float field's value, int or float, must be finite
+    as a float; a tuple's entries follow the same rule.  Every section calls
+    this first, so its own range rules compare plain numbers (NaN is gone by
+    then).
     """
     for name, hint in _field_types(type(section)).items():
         _check_value(name, getattr(section, name), hint)
@@ -53,8 +54,13 @@ def _check_value(name: str, value, hint) -> None:
     if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
         names = " or ".join("None" if t is type(None) else t.__name__ for t in allowed)
         raise ValidationError(f"{name} must be {names}, not {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, not {value!r}")
+    if float in allowed and value is not None:
+        try:
+            finite = math.isfinite(value)  # converts an int to float
+        except OverflowError:
+            raise ValidationError(f"{name} must be finite, not an int beyond the float range") from None
+        if not finite:
+            raise ValidationError(f"{name} must be finite, not {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Event storage format and the power/storage budget model.
+"""Event storage format: the packed event word and the event log file.
 
 A stored event is one little-endian 32-bit word: bit 31 carries the class
 (1 = CS, 0 = SS) and bits 30..0 carry the detection timestamp in sample
@@ -16,17 +16,18 @@ Event log file layout (little endian):
     12      4*n   event words, u32
 
 Timestamps must be strictly increasing; both writer and reader enforce it.
+The word size, RECORD_BYTES, lives in budget, which sizes storage with it
+and imports no numpy.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import ResourceModel
+from .budget import RECORD_BYTES
 from .errors import FormatError, ValidationError
 from .nn import SpikeClass
 
@@ -36,7 +37,6 @@ _HEADER = struct.Struct("<4sBBHI")
 
 TIMESTAMP_BITS = 31
 MAX_TIMESTAMP = 2**TIMESTAMP_BITS - 1
-RECORD_BYTES = 4
 
 
 class EventRecord(NamedTuple):
@@ -108,38 +108,3 @@ def read_event_log(path) -> tuple[list[EventRecord], float]:
     if not _increasing(words & MAX_TIMESTAMP):
         raise FormatError(f"{path}: event timestamps are not strictly increasing")
     return unpack_words(words), float(rate)
-
-
-def storage_required(duration_s: float, spike_rate_hz: float) -> int:
-    """Bytes needed to store every event of a run, rounded up to whole events."""
-    events = duration_s * spike_rate_hz
-    if not (duration_s >= 0 and spike_rate_hz >= 0 and math.isfinite(events)):
-        raise ValidationError("duration and spike rate must be non-negative and finite")
-    return int(math.ceil(events)) * RECORD_BYTES
-
-
-def power_breakdown(model: ResourceModel) -> dict[str, float]:
-    """Average power per subsystem, in watts."""
-    adc = model.sample_rate_hz * model.e_adc_pj * 1e-12
-    if model.detector_energy_basis == "per_sample":
-        detect = model.sample_rate_hz * model.e_detect_nj * 1e-9
-    else:
-        detect = model.spike_rate_hz * model.e_detect_nj * 1e-9
-    classify = model.spike_rate_hz * model.e_classify_nj * 1e-9
-    store_p = model.spike_rate_hz * model.e_store_nj * 1e-9
-    return {
-        "adc_w": adc,
-        "detector_w": detect,
-        "classifier_w": classify,
-        "storage_w": store_p,
-        "total_w": adc + detect + classify + store_p,
-    }
-
-
-def battery_life_days(model: ResourceModel) -> float:
-    """How long the configured battery sustains the average power, in days."""
-    power = power_breakdown(model)["total_w"]
-    if power <= 0:
-        raise ValidationError("average power must be positive to size a battery")
-    energy_j = model.battery_capacity_mah / 1000.0 * 3600.0 * model.battery_voltage_v
-    return energy_j / power / 86400.0

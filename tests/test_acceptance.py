@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from spikestage import analysis as an
+from spikestage import budget
 from spikestage import detector as det
 from spikestage import nn
 from spikestage import pipeline as pl
@@ -300,12 +301,12 @@ def test_07_fsm_invariants(capsys, chain600):
 
 
 def test_08_resource_model(capsys, cli_run):
-    required = store.storage_required(86400.0, 100.0)
+    required = budget.storage_required(86400.0, 100.0)
     capacity = 32 * 2**20
     model = ResourceModel()
-    power = store.power_breakdown(model)
+    power = budget.power_breakdown(model)
     classifier_uw = power["classifier_w"] * 1e6
-    days = store.battery_life_days(model)
+    days = budget.battery_life_days(model)
 
     voltage_printed = cli_run("report")["assumptions"]["battery_voltage_v"] == 1.5
 

@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -7,7 +10,7 @@ import typing
 import numpy as np
 import pytest
 
-from spikestage import config, nn, pipeline, signal, store
+from spikestage import cli, config, nn, pipeline, signal, store
 from spikestage import train as tr
 from spikestage.config import RecordingConfig
 from spikestage.nn import SpikeClass
@@ -360,8 +363,78 @@ def test_light_modules_import_without_scipy():
         return proc.stdout.strip()
 
     assert imported(("errors", "config", "nn", "store", "signal", "analysis"), ("scipy",)) == "[]"
-    # reading a config costs no numerical import at all
+    # reading a config, parsing the command line and `report`'s budget cost no numerical import
     assert imported(("config",), ("numpy", "scipy")) == "[]"
+    assert imported(("cli", "budget"), ("numpy", "scipy")) == "[]"
+
+
+def test_light_paths_run_without_numpy(tmp_path):
+    # cli imports every numpy-backed module inside the commands that run it
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"resources": {"battery_voltage_v": 3.0, "spike_rate_hz": 50}}))
+    bad.write_text(json.dumps({"resources": {"e_adc_pj": -1}}))
+    runs = [
+        ["report"],
+        ["report", "--duration-s", "86400"],
+        ["report", "--config", str(good)],
+        ["--help"],
+        ["nope"],
+        ["report", "--config", str(bad)],
+    ]
+    code = f"""
+import contextlib, io, json, sys
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError(f"{{name}} is refused")
+if sys.argv[1] == "refuse":
+    sys.meta_path.insert(0, RefuseNumpy())
+import spikestage.cli as cli
+results = []
+for argv in {runs!r}:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:  # argparse ends --help this way
+            got = exc.code
+    results.append([got, out.getvalue(), err.getvalue()])
+print(json.dumps({{"results": results, "numpy": "numpy" in sys.modules}}))
+"""
+
+    def run(mode):
+        proc = subprocess.run([sys.executable, "-c", code, mode], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    refused, free = run("refuse"), run("free")
+    assert not refused["numpy"]
+    assert [got for got, _, _ in refused["results"]] == [0, 0, 0, 0, 1, 1]
+    assert refused["results"] == free["results"]
+
+
+# sha256 of `report` stdout with the defaults, with --duration-s 86400 and with
+# the per_event detector basis, recorded before the budget left store.py
+REPORT_SHA256 = {
+    "default": "fdc05285547fac7b041a9d42dbf7eaa03686730375cdd5236637fb27a3d3ad14",
+    "day": "212aaeece4ac68e3ef7726eb153bb0319f362735638f505197ddc857e79e1eb2",
+    "per_event": "35564a7ae6a3c551003246c381662f6c6a38d13ae6e307fa5585b239e5f85c6e",
+}
+
+
+def test_report_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"resources": {"detector_energy_basis": "per_event"}}))
+    runs = {
+        "default": ["report"],
+        "day": ["report", "--duration-s", "86400"],
+        "per_event": ["report", "--config", str(cfg)],
+    }
+    for name, argv in runs.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == REPORT_SHA256[name], name
 
 
 def test_light_commands_run_without_scipy(tmp_path):
@@ -719,12 +792,18 @@ def test_non_finite_dse_config_exits_1(cli_run, tmp_path, literal):
         {"train": {"test_fraction": 0}},  # train_test_split needs a held-out part
         {"recording": {"duration_s": 1e308}},  # finite, but not in samples
         {"recording": {"sample_rate_hz": 1e308}},
+        # integers beyond the float range, in two float fields and in the int
+        # field whose duration in seconds is a float
+        {"recording": {"duration_s": 10**400}},
+        {"resources": {"battery_capacity_mah": 10**400}},
+        {"resources": {"storage_capacity_bytes": 10**400}},
     ],
 )
 def test_malformed_config_value_exits_1(cli_run, tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    cli_run("report", "--config", path, code=1, blame=f"'{next(iter(doc))}'")
+    ((_, body),) = doc.items()
+    cli_run("report", "--config", path, code=1, blame=next(iter(body)))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

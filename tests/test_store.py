@@ -1,4 +1,3 @@
-import math
 import struct
 
 import numpy as np
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikestage import store
-from spikestage.config import ResourceModel
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
 
@@ -173,65 +171,3 @@ def test_read_rejects_damage(tmp_path):
     path.write_bytes(good + struct.pack("<II", 10, 5))
     with pytest.raises(FormatError):
         store.read_event_log(path)
-
-
-def test_storage_required():
-    assert store.storage_required(86400.0, 100.0) == 34_560_000
-    assert store.storage_required(1.5, 1.0) == 8  # ceil to 2 events
-    assert store.storage_required(0.0, 100.0) == 0
-    bad = [(-1.0, 100.0), (math.nan, 100.0), (math.inf, 100.0), (-math.inf, 100.0)]
-    bad += [(10.0, math.nan), (math.inf, 0.0), (1e308, 100.0)]  # a NaN and an infinite product
-    for duration_s, rate in bad:
-        with pytest.raises(ValidationError):
-            store.storage_required(duration_s, rate)
-
-
-def test_power_breakdown_reference_numbers():
-    model = ResourceModel()
-    p = store.power_breakdown(model)
-    assert math.isclose(p["adc_w"], 24414.0 * 0.5e-12, rel_tol=1e-12)
-    assert math.isclose(p["detector_w"], 24414.0 * 4.46e-9, rel_tol=1e-12)
-    assert math.isclose(p["classifier_w"], 3.11e-5, rel_tol=1e-12)
-    assert round(p["classifier_w"] * 1e6, 1) == 31.1
-    assert math.isclose(p["storage_w"], 2.8e-8, rel_tol=1e-12)
-    assert p["total_w"] == p["adc_w"] + p["detector_w"] + p["classifier_w"] + p["storage_w"]
-    assert math.isclose(p["total_w"], 1.40026647e-4, rel_tol=1e-6)
-    assert store.power_breakdown(model)["total_w"] == p["total_w"]
-
-
-def test_detector_energy_basis():
-    per_event = ResourceModel(detector_energy_basis="per_event")
-    p = store.power_breakdown(per_event)
-    assert math.isclose(p["detector_w"], 100.0 * 4.46e-9, rel_tol=1e-12)
-    assert p["detector_w"] < store.power_breakdown(ResourceModel())["detector_w"]
-    with pytest.raises(ValidationError):
-        ResourceModel(detector_energy_basis="per_hour")
-
-
-def test_battery_life():
-    model = ResourceModel()
-    days = store.battery_life_days(model)
-    energy_j = 12.0 / 1000.0 * 3600.0 * 1.5
-    expected = energy_j / store.power_breakdown(model)["total_w"] / 86400.0
-    assert math.isclose(days, expected, rel_tol=1e-12)
-    assert math.isclose(days, 5.356, rel_tol=1e-3)
-    assert 3.0 < days < 6.0
-    dead = ResourceModel(
-        e_detect_nj=0.0, e_classify_nj=0.0, e_store_nj=0.0, e_adc_pj=0.0
-    )
-    with pytest.raises(ValidationError):
-        store.battery_life_days(dead)
-
-
-def test_resource_model_validation():
-    with pytest.raises(ValidationError):
-        ResourceModel(e_classify_nj=-1.0)
-    with pytest.raises(ValidationError):
-        ResourceModel(battery_voltage_v=-0.1)
-    for value in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValidationError):
-            ResourceModel(e_adc_pj=value)
-    # the report spreads the storage capacity over the spike rate
-    with pytest.raises(ValidationError, match="spike_rate_hz"):
-        ResourceModel(spike_rate_hz=0.0)
-    assert store.storage_required(3600.0, 0.0) == 0
