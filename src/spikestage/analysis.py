@@ -96,9 +96,9 @@ def match_events(
     tol_ticks = tolerance_ms * sample_rate_hz / 1000.0
 
     ann = list(annotations)
-    ticks = [a.sample_index for a in ann]
+    ticks = [a.timestamp for a in ann]
     # counts is the 3x3 matrix flattened: true class c starts at NUM_CLASSES * c
-    ann_row = [NUM_CLASSES * a.label for a in ann]
+    ann_row = [NUM_CLASSES * a.klass for a in ann]
     missed_col, spurious_row = SpikeClass.F, NUM_CLASSES * SpikeClass.F
     counts = [0] * (NUM_CLASSES * NUM_CLASSES)
     n = len(ann)

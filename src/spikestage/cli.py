@@ -104,7 +104,7 @@ def cmd_generate(args, cfg) -> int:
     samples, annotations = signal.generate_recording(rec_cfg, cfg.synthesis)
     signal.write_recording(args.out, samples, rec_cfg)
     signal.write_annotations(args.annotations, annotations)
-    labels = [a.label.name for a in annotations]
+    labels = [a.klass.name for a in annotations]
     _emit(
         {
             "samples": len(samples),
@@ -289,7 +289,7 @@ def cmd_run(args, cfg) -> int:
         samples, model, cfg.detector, classify_ticks=args.classify_ticks
     )
     if args.events_csv is not None:
-        pipeline.write_events_csv(args.events_csv, events)
+        store.write_events_csv(args.events_csv, events, ["timestamp", "class"])
     stored = [e for e in events if e.klass is not nn.SpikeClass.F]
     store.write_event_log(args.out, stored, rec_cfg.sample_rate_hz)
     if args.stats is not None:

@@ -313,8 +313,10 @@ def load_model(path) -> MlpModel | QuantizedMlpModel:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "kind" not in doc or "layers" not in doc:
         raise FormatError(f"{path}: not a model file")
-    if doc.get("version") != MODEL_FILE_VERSION:
-        raise FormatError(f"{path}: unsupported model file version {doc.get('version')!r}")
+    # header numbers must be JSON integers: == alone takes true and 1.0 for 1
+    version = doc.get("version")
+    if type(version) is not int or version != MODEL_FILE_VERSION:
+        raise FormatError(f"{path}: unsupported model file version {version!r}")
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in _CODECS:
         raise FormatError(f"{path}: unknown model kind {kind!r}")
@@ -330,6 +332,8 @@ def load_model(path) -> MlpModel | QuantizedMlpModel:
         raise FormatError(f"{path}: malformed model file ({exc})") from exc
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if doc.get("topology") != model.topology:
+    # equality makes topology a list, but lets 40.0 or true through as a width
+    topology = doc.get("topology")
+    if topology != model.topology or any(type(n) is not int for n in topology):
         raise FormatError(f"{path}: topology field does not match layer shapes")
     return model

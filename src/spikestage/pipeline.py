@@ -21,17 +21,18 @@ stored, so RunStats.events_emitted counts the SS and CS events only.
 The Pipeline class steps tick by tick and is the behavioural reference.
 run_pipeline computes the identical result from whole-stream array passes
 and is what the CLI uses; capture_detections shares its capture path
-(detector pass, honored spacing, complete captures, gather) so training
-data is captured exactly as deployed.  Both paths quantize captures with
-the detector's one quantize_capture_array: Pipeline.step when it
-classifies, detector_trace for every sample, so the array paths read
-captures straight from the trace's int8 codes.  The pipeline is
-single-threaded by construction; instances must not be shared.
+(detector pass, honored spacing, complete captures, gather) at the
+one-tick latency, so training data is captured exactly as deployed.  Both
+paths quantize captures with the detector's one quantize_capture_array:
+Pipeline.step when it classifies, detector_trace for every sample, so the
+array paths read captures straight from the trace's int8 codes.  The
+module holds no file format: the event log and the events CSV live in
+store.  The pipeline is single-threaded by construction; instances must
+not be shared.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 
@@ -81,12 +82,6 @@ class RunStats:
         return asdict(self)
 
 
-def _check_latency(classify_ticks: int) -> None:
-    # a longer latency outlasts any stream the event log can stamp
-    if not 1 <= classify_ticks <= MAX_TIMESTAMP:
-        raise ValidationError(f"classify_ticks must be in [1, {MAX_TIMESTAMP}]")
-
-
 def _check_deployable(model, classify_ticks: int) -> None:
     """Refuse what the deployed pipeline cannot run.
 
@@ -96,7 +91,9 @@ def _check_deployable(model, classify_ticks: int) -> None:
     if not isinstance(model, QuantizedMlpModel):
         raise ValidationError("deployment needs a quantized model (run quantize first)")
     check_topology(model.topology)
-    _check_latency(classify_ticks)
+    # a longer latency outlasts any stream the event log can stamp
+    if not 1 <= classify_ticks <= MAX_TIMESTAMP:
+        raise ValidationError(f"classify_ticks must be in [1, {MAX_TIMESTAMP}]")
 
 
 class Pipeline:
@@ -231,20 +228,15 @@ def _gather(trace: det.DetectorTrace, ticks: np.ndarray) -> np.ndarray:
     return sliding_window_view(trace.codes, WAVEFORM_SAMPLES)[ticks + 1]
 
 
-def capture_detections(
-    samples,
-    det_cfg: DetectorConfig | None = None,
-    *,
-    classify_ticks: int = 1,
-):
+def capture_detections(samples, det_cfg: DetectorConfig | None = None):
     """Detection ticks and their 40-sample capture buffers, deployment-timed.
 
     Returns (ticks, waveforms): one int8 waveform row per honored detection
-    with a complete capture.  Shares run_pipeline's capture path,
-    so training data matches what the classifier sees in the field.
+    with a complete capture, spaced as a run at the default one-tick
+    classify latency.  Shares run_pipeline's capture path, so training data
+    matches what the classifier sees in the field.
     """
-    _check_latency(classify_ticks)
-    trace, _, complete = _capture_path(samples, det_cfg, classify_ticks)
+    trace, _, complete = _capture_path(samples, det_cfg, 1)
     return complete, _gather(trace, complete)
 
 
@@ -286,13 +278,3 @@ def run_pipeline(
     stats.events_emitted = len(classified) - counts[SpikeClass.F]
     klass_of = map(klasses.__getitem__, labels.tolist())
     return list(map(EventRecord, classified.tolist(), klass_of)), stats
-
-
-def write_events_csv(path, events) -> None:
-    """Debug form of the event stream: timestamp,class per row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "class"])
-        for event in events:
-            writer.writerow([event.timestamp, event.klass.name])
-

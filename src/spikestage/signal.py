@@ -5,7 +5,8 @@ plants two spike shapes on a noisy, drifting baseline: a short biphasic
 spike (SS) of roughly 0.8 ms, and a longer complex shape (CS) whose
 initial spike is followed by three decaying wavelets over roughly 1.7 ms.
 Every planted spike is reported as an annotation at its onset sample, so
-downstream stages can be scored against ground truth.
+downstream stages can be scored against ground truth: a list of
+store.EventRecord, the pipeline's own row type, of onset tick and class.
 
 Recording file layout (little endian):
 
@@ -18,7 +19,9 @@ Recording file layout (little endian):
     16      2*n   samples, int16
 
 Annotations travel separately as CSV with header ``sample_index,label``,
-rows sorted by sample index, labels ``SS`` or ``CS``.
+rows sorted by sample index, indices non-negative, labels ``SS`` or ``CS``.
+write_annotations checks them and leaves the rows to store.write_events_csv,
+the one writer of tick-and-class CSV rows.
 """
 
 from __future__ import annotations
@@ -29,23 +32,18 @@ import math
 import os
 import stat
 import struct
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import RecordingConfig, SynthesisParams
 from .errors import FormatError, ValidationError
 from .nn import SpikeClass
-from .store import MAX_TIMESTAMP
+from .store import MAX_TIMESTAMP, EventRecord, write_events_csv
 
 RECORDING_MAGIC = b"SPKR"
 RECORDING_VERSION = 1
 _HEADER = struct.Struct("<4sBBHd")
-
-
-class Annotation(NamedTuple):
-    sample_index: int
-    label: SpikeClass  # SS or CS; F never appears in ground truth
+_ANNOTATIONS_HEADER = ["sample_index", "label"]
 
 
 # Spike templates as sums of Gaussian lobes.  Each row is (sign * relative
@@ -94,7 +92,7 @@ def _poisson_times(rng, rate_hz: float, duration_s: float) -> np.ndarray:
 
 def generate_recording(
     cfg: RecordingConfig, params: SynthesisParams
-) -> tuple[np.ndarray, list[Annotation]]:
+) -> tuple[np.ndarray, list[EventRecord]]:
     """Synthesize one recording.
 
     Returns (samples, annotations): int16 samples clipped to the ADC rails,
@@ -135,7 +133,7 @@ def generate_recording(
             last_tick = tick
 
     signal = np.zeros(n)
-    annotations: list[Annotation] = []
+    annotations: list[EventRecord] = []
     for tick, label in kept:
         amp = 1.0 + AMPLITUDE_JITTER * (2.0 * rng.random() - 1.0)
         width = 1.0 + WIDTH_JITTER * (2.0 * rng.random() - 1.0)
@@ -146,7 +144,7 @@ def generate_recording(
         if tick + len(template) > n:
             continue  # would be truncated by the end of the stream
         signal[tick : tick + len(template)] += amp * scale * template
-        annotations.append(Annotation(tick, label))
+        annotations.append(EventRecord(tick, label))
 
     # Baseline: constant offset, slow sinusoid, bounded random walk.
     t = np.arange(n) / fs
@@ -216,19 +214,17 @@ def read_recording(path) -> tuple[np.ndarray, RecordingConfig]:
     return samples, cfg
 
 
-def write_annotations(path, annotations: list[Annotation]) -> None:
+def write_annotations(path, annotations: list[EventRecord]) -> None:
     prev = -1
     for ann in annotations:
-        if ann.label not in (SpikeClass.SS, SpikeClass.CS):
-            raise ValidationError(f"annotation label must be SS or CS, got {ann.label.name}")
-        if ann.sample_index <= prev:
+        if ann.klass not in (SpikeClass.SS, SpikeClass.CS):
+            raise ValidationError(f"annotation label must be SS or CS, got {ann.klass.name}")
+        if ann.timestamp <= prev:  # prev starts at -1, so a negative index lands here
+            if ann.timestamp < 0:
+                raise ValidationError(f"sample index must be non-negative, got {ann.timestamp}")
             raise ValidationError("annotations must be strictly increasing by sample index")
-        prev = ann.sample_index
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "label"])
-        for ann in annotations:
-            writer.writerow([ann.sample_index, ann.label.name])
+        prev = ann.timestamp
+    write_events_csv(path, annotations, _ANNOTATIONS_HEADER)
 
 
 def read_form_or_lines(path, line_form, bulk, per_line):
@@ -256,8 +252,8 @@ def read_form_or_lines(path, line_form, bulk, per_line):
 _ANNOTATION_LABELS = {SpikeClass.SS.name: SpikeClass.SS, SpikeClass.CS.name: SpikeClass.CS}
 
 
-def read_annotations(path) -> list[Annotation]:
-    annotations: list[Annotation] = []
+def read_annotations(path) -> list[EventRecord]:
+    annotations: list[EventRecord] = []
     append = annotations.append
     labels = _ANNOTATION_LABELS
     # the reader decodes and splits lazily, so both errors surface in the loop
@@ -265,7 +261,7 @@ def read_annotations(path) -> list[Annotation]:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header != ["sample_index", "label"]:
+            if header != _ANNOTATIONS_HEADER:
                 raise FormatError(f"{path}: expected header sample_index,label")
             prev = -1
             for row in reader:
@@ -278,10 +274,12 @@ def read_annotations(path) -> list[Annotation]:
                 label = labels.get(row[1])
                 if label is None:
                     raise FormatError(f"{path}: unknown label {row[1]!r}")
-                if index <= prev:
+                if index <= prev:  # prev starts at -1, so a negative index lands here
+                    if index < 0:
+                        raise FormatError(f"{path}: sample index must be non-negative, got {index}")
                     raise FormatError(f"{path}: sample indices must be strictly increasing")
                 prev = index
-                append(Annotation(index, label))
+                append(EventRecord(index, label))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: unreadable annotations CSV ({exc})") from exc
     return annotations

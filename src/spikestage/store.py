@@ -1,4 +1,7 @@
-"""Event storage format: the packed event word and the event log file.
+"""Tick-and-class streams: the row type, the packed event word, the event log, the CSV rows.
+
+An EventRecord is a classified detection or a ground-truth spike; one
+writer renders a stream of either as CSV rows under its format's header.
 
 A stored event is one little-endian 32-bit word: bit 31 carries the class
 (1 = CS, 0 = SS) and bits 30..0 carry the detection timestamp in sample
@@ -22,6 +25,7 @@ and imports no numpy.
 
 from __future__ import annotations
 
+import csv
 import struct
 from typing import NamedTuple
 
@@ -40,10 +44,10 @@ MAX_TIMESTAMP = 2**TIMESTAMP_BITS - 1
 
 
 class EventRecord(NamedTuple):
-    """One classified detection, as the pipeline emits it."""
+    """One classified detection, or one ground-truth spike at its onset."""
 
-    timestamp: int  # detection tick, in sample ticks since stream start
-    klass: SpikeClass  # any class, but pack_words stores only SS and CS
+    timestamp: int  # detection or onset tick, in sample ticks since stream start
+    klass: SpikeClass  # any class, but the log stores and ground truth holds only SS and CS
 
 
 def pack_words(events: list[EventRecord]) -> np.ndarray:
@@ -108,3 +112,11 @@ def read_event_log(path) -> tuple[list[EventRecord], float]:
     if not _increasing(words & MAX_TIMESTAMP):
         raise FormatError(f"{path}: event timestamps are not strictly increasing")
     return unpack_words(words), float(rate)
+
+
+def write_events_csv(path, events, header: list[str]) -> None:
+    """A tick-and-class stream as CSV: `header`, then timestamp,class name per row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([event.timestamp, event.klass.name] for event in events)

@@ -47,7 +47,8 @@ from .nn import (
     layer_outputs,
     quantize,
 )
-from .signal import Annotation, read_form_or_lines
+from .signal import read_form_or_lines
+from .store import EventRecord
 
 
 class LabeledWaveform(NamedTuple):
@@ -133,7 +134,7 @@ def complexity(topology) -> int:
 
 def build_dataset(
     samples,
-    annotations: list[Annotation],
+    annotations: list[EventRecord],
     sample_rate_hz: float,
     det_cfg: DetectorConfig | None = None,
     label_window_ms: float = 1.0,
@@ -153,7 +154,7 @@ def build_dataset(
     return Dataset(waveforms, labels, ticks)
 
 
-def label_detections(ticks, annotations: list[Annotation], window: float) -> np.ndarray:
+def label_detections(ticks, annotations: list[EventRecord], window: float) -> np.ndarray:
     """Class of each detection tick: its nearest annotation's, or F beyond `window`.
 
     The nearest annotation is one of the two around the tick's insertion
@@ -164,8 +165,8 @@ def label_detections(ticks, annotations: list[Annotation], window: float) -> np.
     labels = np.full(len(ticks), int(SpikeClass.F), dtype=np.int64)
     if not annotations:
         return labels
-    ann_ticks = np.array([a.sample_index for a in annotations], dtype=np.float64)
-    ann_labels = np.array([int(a.label) for a in annotations], dtype=np.int64)
+    ann_ticks = np.array([a.timestamp for a in annotations], dtype=np.float64)
+    ann_labels = np.array([int(a.klass) for a in annotations], dtype=np.int64)
     j = np.searchsorted(ann_ticks, ticks)
     # clamped at the ends, where both name the one neighbouring annotation
     before, after = np.maximum(j - 1, 0), np.minimum(j, len(ann_ticks) - 1)

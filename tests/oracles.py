@@ -1,9 +1,15 @@
-"""Independent references that more than one test module checks against."""
+"""Independent references that more than one test module checks against.
+
+The module also holds the builders of test data that more than one module uses.
+"""
 
 import json
 
+import numpy as np
+
 from spikestage import detector as det
 from spikestage.nn import SpikeClass
+from spikestage.train import Dataset
 
 
 def naive_dead_zone(events, zone_ticks):
@@ -33,3 +39,20 @@ def dataset_jsonl(dataset) -> bytes:
         json.dumps({"tick": tick, "label": names[label], "waveform": waveform}) + "\n"
         for tick, label, waveform in columns
     ).encode()
+
+
+def make_cluster_dataset(counts=(20, 20, 20), seed=0, spread=4.0):
+    """Three well-separated waveform clusters, one per class."""
+    rng = np.random.default_rng(seed)
+    centers = {
+        SpikeClass.CS: np.linspace(-90.0, 90.0, 40),
+        SpikeClass.SS: np.linspace(90.0, -90.0, 40),
+        SpikeClass.F: np.zeros(40),
+    }
+    waveforms, labels = [], []
+    for klass, n in zip(SpikeClass, counts):
+        for _ in range(n):
+            w = np.clip(np.round(centers[klass] + rng.normal(0.0, spread, 40)), -128, 127)
+            waveforms.append(w)
+            labels.append(klass)
+    return Dataset(np.reshape(waveforms, (-1, 40)), labels, 100 * np.arange(len(labels)))

@@ -54,7 +54,7 @@ def chain600():
     qmodel = nn.quantize(model, tr.dataset_arrays(processed)[0])
     events, stats = pl.run_pipeline(samples_f, qmodel)
     kept = an.apply_dead_zone(events, PostprocConfig(), rec_cfg.sample_rate_hz)
-    post_ann = [a for a in annotations if a.sample_index > stats.converged_tick]
+    post_ann = [a for a in annotations if a.timestamp > stats.converged_tick]
     cm = an.match_events(kept, post_ann, rec_cfg.sample_rate_hz, tolerance_ms=1.0)
     elapsed = time.perf_counter() - t0
     return {

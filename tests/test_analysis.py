@@ -11,7 +11,6 @@ from spikestage import detector as det
 from spikestage.config import DetectorConfig, PostprocConfig
 from spikestage.errors import ValidationError
 from spikestage.nn import SpikeClass
-from spikestage.signal import Annotation
 from spikestage.store import EventRecord
 
 from oracles import naive_dead_zone, smoothed_energy
@@ -159,7 +158,7 @@ def test_dead_zone_matches_naive_reference():
 
 def test_match_events_hand_cases():
     fs, tol = 1000.0, 10.0  # 10 ticks
-    ann = [Annotation(105, SpikeClass.SS)]
+    ann = [EventRecord(105, SpikeClass.SS)]
     cm = an.match_events([ev(100)], ann, fs, tol)
     assert cm.counts[1, 1] == 1 and cm.total == 1
 
@@ -167,28 +166,28 @@ def test_match_events_hand_cases():
     assert cm.counts[1, 0] == 1 and cm.total == 1
 
     # spurious event plus missed annotation
-    cm = an.match_events([ev(100)], [Annotation(200, SpikeClass.CS)], fs, tol)
+    cm = an.match_events([ev(100)], [EventRecord(200, SpikeClass.CS)], fs, tol)
     assert cm.counts[2, 1] == 1  # spurious SS event
     assert cm.counts[0, 2] == 1  # missed CS annotation
     assert cm.total == 2
 
     # nearest wins; ties go to the earlier annotation
-    ann = [Annotation(95, SpikeClass.CS), Annotation(105, SpikeClass.SS)]
+    ann = [EventRecord(95, SpikeClass.CS), EventRecord(105, SpikeClass.SS)]
     cm = an.match_events([ev(100)], ann, fs, tol)
     assert cm.counts[0, 1] == 1  # claimed the CS annotation at 95
     assert cm.counts[1, 2] == 1  # SS annotation missed
 
     # one-to-one: a claimed annotation is not reused
-    ann = [Annotation(100, SpikeClass.SS)]
+    ann = [EventRecord(100, SpikeClass.SS)]
     cm = an.match_events([ev(100), ev(101)], ann, fs, tol)
     assert cm.counts[1, 1] == 1 and cm.counts[2, 1] == 1
 
     # tolerance is inclusive on both sides
-    cm = an.match_events([ev(100)], [Annotation(90, SpikeClass.SS)], fs, tol)
+    cm = an.match_events([ev(100)], [EventRecord(90, SpikeClass.SS)], fs, tol)
     assert cm.counts[1, 1] == 1
-    cm = an.match_events([ev(100)], [Annotation(110, SpikeClass.SS)], fs, tol)
+    cm = an.match_events([ev(100)], [EventRecord(110, SpikeClass.SS)], fs, tol)
     assert cm.counts[1, 1] == 1
-    cm = an.match_events([ev(100)], [Annotation(89, SpikeClass.SS)], fs, tol)
+    cm = an.match_events([ev(100)], [EventRecord(89, SpikeClass.SS)], fs, tol)
     assert cm.counts[1, 1] == 0
 
     with pytest.raises(ValidationError):
@@ -203,7 +202,7 @@ def test_match_events_conservation():
     for _ in range(30):
         ann_ticks = np.unique(rng.integers(0, 50_000, size=int(rng.integers(1, 80))))
         ann = [
-            Annotation(int(t), SpikeClass.SS if rng.random() < 0.8 else SpikeClass.CS)
+            EventRecord(int(t), SpikeClass.SS if rng.random() < 0.8 else SpikeClass.CS)
             for t in ann_ticks
         ]
         ev_ticks = np.unique(rng.integers(0, 50_000, size=int(rng.integers(1, 80))))
@@ -222,7 +221,7 @@ def test_match_events_conservation():
 
 
 def test_match_events_empty_inputs():
-    ann = [Annotation(10, SpikeClass.SS)]
+    ann = [EventRecord(10, SpikeClass.SS)]
     cm = an.match_events([], ann, FS)
     assert cm.counts[1, 2] == 1 and cm.total == 1
     cm = an.match_events([ev(10)], [], FS)
@@ -231,7 +230,7 @@ def test_match_events_empty_inputs():
 
 
 def naive_match(events, annotations, sample_rate_hz, tolerance_ms=1.0):
-    """Reference greedy matcher on Annotation/event objects, one count at a time."""
+    """Reference greedy matcher on event records, one count at a time."""
     tol_ticks = tolerance_ms * sample_rate_hz / 1000.0
     counts = np.zeros((3, 3), dtype=np.int64)  # [true, predicted]
     ann = list(annotations)
@@ -239,15 +238,15 @@ def naive_match(events, annotations, sample_rate_hz, tolerance_ms=1.0):
     j = 0
     for event in events:
         t = event.timestamp
-        while j < len(ann) and (claimed[j] or ann[j].sample_index < t - tol_ticks):
+        while j < len(ann) and (claimed[j] or ann[j].timestamp < t - tol_ticks):
             if not claimed[j]:
-                counts[ann[j].label, SpikeClass.F] += 1
+                counts[ann[j].klass, SpikeClass.F] += 1
             j += 1
         best = None
         k = j
-        while k < len(ann) and ann[k].sample_index <= t + tol_ticks:
+        while k < len(ann) and ann[k].timestamp <= t + tol_ticks:
             if not claimed[k] and (
-                best is None or abs(ann[k].sample_index - t) < abs(ann[best].sample_index - t)
+                best is None or abs(ann[k].timestamp - t) < abs(ann[best].timestamp - t)
             ):
                 best = k
             k += 1
@@ -255,10 +254,10 @@ def naive_match(events, annotations, sample_rate_hz, tolerance_ms=1.0):
             counts[SpikeClass.F, event.klass] += 1
         else:
             claimed[best] = True
-            counts[ann[best].label, event.klass] += 1
+            counts[ann[best].klass, event.klass] += 1
     for idx in range(j, len(ann)):
         if not claimed[idx]:
-            counts[ann[idx].label, SpikeClass.F] += 1
+            counts[ann[idx].klass, SpikeClass.F] += 1
     return counts
 
 
@@ -279,7 +278,7 @@ def sorted_ticks(max_tick):
 def test_match_events_matches_naive(ann_ticks, ev_ticks, data, rate_tol):
     fs, tol = rate_tol
     labels = st.sampled_from([SpikeClass.SS, SpikeClass.CS])
-    ann = [Annotation(t, data.draw(labels)) for t in ann_ticks]
+    ann = [EventRecord(t, data.draw(labels)) for t in ann_ticks]
     events = [ev(t, data.draw(st.sampled_from(list(SpikeClass)))) for t in ev_ticks]
     cm = an.match_events(events, ann, fs, tol)
     expected = naive_match(events, ann, fs, tol)

@@ -15,6 +15,8 @@ from spikestage import train as tr
 from spikestage.config import RecordingConfig
 from spikestage.nn import SpikeClass
 
+from oracles import make_cluster_dataset
+
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory, cli_run):
@@ -246,7 +248,7 @@ def test_detect_subcommand(cli_run, tmp_path):
 
 def test_dse_table_and_infeasible_floor(cli_run, tmp_path):
     ds_path = tmp_path / "tiny.jsonl"
-    tr.save_dataset(ds_path, _cluster_dataset())
+    tr.save_dataset(ds_path, make_cluster_dataset())
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
         json.dumps(
@@ -274,7 +276,7 @@ def test_dse_table_and_infeasible_floor(cli_run, tmp_path):
 
 def test_dse_selects_under_reachable_floor(cli_run, tmp_path):
     ds_path = tmp_path / "tiny.jsonl"
-    tr.save_dataset(ds_path, _cluster_dataset())
+    tr.save_dataset(ds_path, make_cluster_dataset())
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
         json.dumps(
@@ -297,7 +299,7 @@ def test_dse_selects_under_reachable_floor(cli_run, tmp_path):
 
 def test_dse_early_exit_and_exhaustive_tables(cli_run, tmp_path):
     ds_path = tmp_path / "tiny.jsonl"
-    tr.save_dataset(ds_path, _cluster_dataset())
+    tr.save_dataset(ds_path, make_cluster_dataset())
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
         json.dumps({"dse": {"folds": 2, "cs_floor": 0.01}, "train": {"epochs": 2, "patience": 1}})
@@ -320,22 +322,6 @@ def test_dse_early_exit_and_exhaustive_tables(cli_run, tmp_path):
     # header, one row per evaluated result, the selection
     assert len(tables[0]) == 1 + 3 + 1 and len(tables[1]) == 1 + 9 + 1
     assert tables[0][:4] == tables[1][:4] and tables[0][-1] == tables[1][-1]
-
-
-def _cluster_dataset():
-    rng = np.random.default_rng(0)
-    centers = {
-        SpikeClass.CS: np.linspace(-90.0, 90.0, 40),
-        SpikeClass.SS: np.linspace(90.0, -90.0, 40),
-        SpikeClass.F: np.zeros(40),
-    }
-    waveforms, labels, ticks = [], [], []
-    for i, klass in enumerate(SpikeClass):
-        for j in range(20):
-            waveforms.append(np.clip(np.round(centers[klass] + rng.normal(0, 4.0, 40)), -128, 127))
-            labels.append(klass)
-            ticks.append(i * 10_000 + j * 100)
-    return tr.Dataset(np.array(waveforms), labels, ticks)
 
 
 def test_report_subcommand(cli_run):
@@ -528,7 +514,7 @@ def test_memory_error_exits_1(cli_run, monkeypatch, tmp_path):
 
     monkeypatch.setattr(tr, "init_model", refuse)
     ds = tmp_path / "ds.jsonl"
-    tr.save_dataset(ds, _cluster_dataset())
+    tr.save_dataset(ds, make_cluster_dataset())
     model = tmp_path / "m.json"
     cli_run(
         "train", "--dataset", ds, "--topology", "40,100000000,3", "--out", model,
@@ -588,6 +574,15 @@ def test_malformed_model_exits_2(cli_run, model_files, kind, key, value):
     cli_run(*quantize, code=2, blame=model.name)
 
 
+@pytest.mark.parametrize("header", [{"version": True}, {"version": 1.0}, {"topology": [40.0, 3]}])
+def test_model_header_numbers_exit_2(cli_run, model_files, header):
+    # each compares equal to the expected header, but is not a JSON integer
+    model = model_files / "q.json"
+    model.write_text(json.dumps(dict(json.loads(model.read_text()), **header)))
+    run = ("run", "--in", model_files / "r.spkr", "--model", model, "--out", model_files / "e")
+    cli_run(*run, code=2, blame="q.json")
+
+
 def test_malformed_dataset_exits_2(cli_run, tmp_path):
     line = {"tick": 5, "label": "SS", "waveform": [0] * 40}
     ds = tmp_path / "ds.jsonl"
@@ -638,6 +633,17 @@ def test_unreadable_files_exit_2(cli_run, model_files):
     ):
         ann.write_bytes(body)
         cli_run(*build, "--annotations", ann, code=2, blame="ann.csv")
+
+
+def test_negative_annotation_index_exits_2(cli_run, model_files):
+    root = model_files
+    ann = root / "ann.csv"
+    ann.write_text("sample_index,label\n-5,SS\n")
+    store.write_event_log(root / "e.spkevt", [store.EventRecord(100, SpikeClass.SS)], 24414.0)
+    metrics = ("metrics", "--events", root / "e.spkevt", "--annotations", ann)
+    build = ("build-dataset", "--in", root / "r.spkr", "--annotations", ann, "--out", root / "d")
+    for argv in (metrics, build):
+        cli_run(*argv, code=2, blame="ann.csv: sample index must be non-negative, got -5")
 
 
 def test_negative_seeds_exit_1(cli_run, tmp_path):
@@ -760,7 +766,7 @@ def test_non_finite_config_values_exit_1(cli_run, tmp_path, section, key):
 def test_non_finite_dse_config_exits_1(cli_run, tmp_path, literal):
     # a NaN floor would reject every candidate, but only after the whole search
     ds = tmp_path / "tiny.jsonl"
-    tr.save_dataset(ds, _cluster_dataset())
+    tr.save_dataset(ds, make_cluster_dataset())
     cfg = tmp_path / "c.json"
     train = '"train": {"epochs": 2, "patience": 1}'
     dse = ("dse", "--dataset", ds, "--config", cfg, "--out", tmp_path / "dse.json")
@@ -809,7 +815,7 @@ def test_malformed_config_value_exits_1(cli_run, tmp_path, doc):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_training_exits_1(cli_run, tmp_path):
     ds = tmp_path / "ds.jsonl"
-    tr.save_dataset(ds, _cluster_dataset())
+    tr.save_dataset(ds, make_cluster_dataset())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"train": {"learning_rate": 1e300, "epochs": 3}}))
     model, log = tmp_path / "m.json", tmp_path / "log.jsonl"
@@ -835,9 +841,9 @@ def test_every_command_reads_its_config(cli_run, model_files):
     root = model_files
     cfg = root / "c.json"
     cfg.write_text(json.dumps({"nope": 1}))
-    tr.save_dataset(root / "ds.jsonl", _cluster_dataset())
+    tr.save_dataset(root / "ds.jsonl", make_cluster_dataset())
     store.write_event_log(root / "e.spkevt", [store.EventRecord(100, SpikeClass.SS)], 24414.0)
-    signal.write_annotations(root / "a.csv", [signal.Annotation(100, SpikeClass.SS)])
+    signal.write_annotations(root / "a.csv", [store.EventRecord(100, SpikeClass.SS)])
     out = root / "out.json"
     quantize = ("quantize", "--model", root / "f.json", "--calib", root / "ds.jsonl", "--out", out)
     metrics = ("metrics", "--events", root / "e.spkevt", "--annotations", root / "a.csv")

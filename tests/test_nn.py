@@ -251,6 +251,13 @@ def test_load_rejects_malformed(tmp_path):
         kind = "quant" if entry is quant else "float"
         path.write_text(json.dumps({"version": 1, "kind": kind, "topology": [6, 3], "layers": [entry]}))
         assert nn.load_model(path).topology == [6, 3]
+    # header numbers that == would take for the expected ones
+    bad_headers = ({"version": True}, {"version": 1.0}, {"topology": [6.0, 3]}, {"topology": [6, 3.0]})
+    for header in bad_headers:
+        doc = dict({"version": 1, "kind": "quant", "topology": [6, 3], "layers": [quant]}, **header)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="bad.json"):
+            nn.load_model(path)
     for kind, entry in (
         ("quant", dict(quant, q_weights=[[1.5] * 6] * 3)),
         ("quant", dict(quant, q_weights=[[True] * 6] * 3)),

@@ -1,4 +1,3 @@
-import csv
 import math
 import tracemalloc
 from pathlib import Path
@@ -111,8 +110,6 @@ def test_options_validation():
             pl.Pipeline(SMALL_MODEL, classify_ticks=ticks)
         with pytest.raises(ValidationError):
             pl.run_pipeline(np.zeros(100), SMALL_MODEL, classify_ticks=ticks)
-        with pytest.raises(ValidationError):
-            pl.capture_detections(np.zeros(100), classify_ticks=ticks)
     pl.run_pipeline(np.zeros(100), SMALL_MODEL, classify_ticks=store.MAX_TIMESTAMP)
 
 
@@ -220,7 +217,7 @@ def pulsed_streams(draw):
 
 
 def check_capture_path(stream, det_cfg, classify_ticks):
-    """run_pipeline equals Pipeline.step, naive_fsm and classifying capture_detections."""
+    """run_pipeline equals Pipeline.step and naive_fsm, and at one tick the classified captures."""
     step = pl.Pipeline(SMALL_MODEL, det_cfg, classify_ticks=classify_ticks)
     step_events = step.run(stream)
     events, stats = pl.run_pipeline(stream, SMALL_MODEL, det_cfg, classify_ticks=classify_ticks)
@@ -228,16 +225,18 @@ def check_capture_path(stream, det_cfg, classify_ticks):
     assert stats.to_dict() == step.stats.to_dict()
     assert (events, stats.converged_tick) == naive_fsm(stream, SMALL_MODEL, det_cfg, classify_ticks)
 
-    # a capture is classified on the tick after its last sample
-    ticks, waveforms = pl.capture_detections(stream, det_cfg, classify_ticks=classify_ticks)
+    # captures are spaced as a one-tick run, which classifies each on the
+    # tick after its last sample
+    ticks, waveforms = pl.capture_detections(stream, det_cfg)
+    one_tick, one_tick_stats = pl.run_pipeline(stream, SMALL_MODEL, det_cfg)
     keep = ticks + nn.WAVEFORM_SAMPLES + 1 <= len(stream) - 1
     klasses = nn.infer_quantized_batch(SMALL_MODEL, waveforms[keep]).argmax(axis=1)
-    assert stats.classify_invocations == int(keep.sum())
-    assert events == [
+    assert one_tick_stats.classify_invocations == int(keep.sum())
+    assert one_tick == [
         store.EventRecord(int(t), SpikeClass(int(k)))
         for t, k in zip(ticks[keep], klasses)
     ]
-    return ticks, det.detector_trace(stream, det_cfg)
+    return events, det.detector_trace(stream, det_cfg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,10 +248,10 @@ def test_capture_path_matches_step(stream, classify_ticks, chunk):
     whole = det.detector_trace(stream, det_cfg)  # one block: streams are shorter than CHUNK
     saved, det.CHUNK = det.CHUNK, chunk
     try:
-        ticks, chunked = check_capture_path(stream, det_cfg, classify_ticks)
-        if len(ticks):
-            # cut right after the last capture: complete, never classified
-            cut = stream[: ticks[-1] + nn.WAVEFORM_SAMPLES + 1]
+        events, chunked = check_capture_path(stream, det_cfg, classify_ticks)
+        if events:
+            # cut right after the last classified capture: complete, never classified
+            cut = stream[: events[-1].timestamp + nn.WAVEFORM_SAMPLES + 1]
             check_capture_path(cut, det_cfg, classify_ticks)
     finally:
         det.CHUNK = saved
@@ -396,16 +395,3 @@ def test_request_reconvergence_aborts_capture(trained):
     assert p.stats.converged_tick > first_converged
     ratio = p.stats.threshold / first_threshold
     assert 3.0 < ratio < 5.5
-
-
-def test_events_csv_roundtrip(tmp_path):
-    events = [
-        store.EventRecord(100, SpikeClass.SS),
-        store.EventRecord(250, SpikeClass.CS),
-        store.EventRecord(400, SpikeClass.F),
-    ]
-    path = tmp_path / "events.csv"
-    pl.write_events_csv(path, events)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows == [["timestamp", "class"], ["100", "SS"], ["250", "CS"], ["400", "F"]]

@@ -40,7 +40,7 @@ def valid_files(tmp_path_factory):
             p, rng.integers(-512, 512, 64).astype(np.int16), RecordingConfig()
         ),
         "annotations": lambda p: signal.write_annotations(
-            p, [signal.Annotation(10, SpikeClass.SS), signal.Annotation(50, SpikeClass.CS)]
+            p, [store.EventRecord(10, SpikeClass.SS), store.EventRecord(50, SpikeClass.CS)]
         ),
         "dataset": lambda p: tr.save_dataset(
             p, tr.Dataset(weights.astype(np.int8), np.array([0, 1, 2]), np.array([5, 90, 95]))

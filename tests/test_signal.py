@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 import os
 import threading
@@ -10,6 +11,7 @@ from spikestage import signal
 from spikestage.config import RecordingConfig, SynthesisParams
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
+from spikestage.store import EventRecord
 
 
 def test_recording_roundtrip(tmp_path, recording):
@@ -73,12 +75,34 @@ def test_annotations_roundtrip(tmp_path, recording):
 
 def test_annotations_reject_unsorted(tmp_path):
     path = tmp_path / "ann.csv"
-    anns = [signal.Annotation(100, SpikeClass.SS), signal.Annotation(50, SpikeClass.SS)]
+    anns = [EventRecord(100, SpikeClass.SS), EventRecord(50, SpikeClass.SS)]
     with pytest.raises(ValidationError):
         signal.write_annotations(path, anns)
     path.write_text("sample_index,label\n100,SS\n50,SS\n")
     with pytest.raises(FormatError):
         signal.read_annotations(path)
+
+
+def test_annotations_reject_negative_index(tmp_path):
+    path = tmp_path / "ann.csv"
+    with pytest.raises(ValidationError, match="must be non-negative, got -3"):
+        signal.write_annotations(path, [EventRecord(-3, SpikeClass.SS)])
+    for text in ("sample_index,label\n-5,SS\n", "sample_index,label\n4,SS\n-5,CS\n"):
+        path.write_text(text)
+        with pytest.raises(FormatError, match="sample index must be non-negative, got -5"):
+            signal.read_annotations(path)
+
+
+# sha256 of write_annotations on the session recording (60 s, seed 1234),
+# recorded before the CSV row writer moved to store.py
+ANNOTATIONS_SHA256 = "f19bec36949fd14a9d36b5ff3b0fe158a8d7e537f1e25aa8d500911ea4c8db4c"
+
+
+def test_annotations_bytes_are_pinned(tmp_path, recording):
+    _, annotations, _ = recording
+    path = tmp_path / "ann.csv"
+    signal.write_annotations(path, annotations)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ANNOTATIONS_SHA256
 
 
 def test_annotations_reject_f_label(tmp_path):
@@ -113,13 +137,13 @@ def test_generate_annotation_spacing(recording):
     samples, annotations, cfg = recording
     min_ticks = int(np.ceil(4.0 * cfg.sample_rate_hz / 1000.0))
     for klass in (SpikeClass.SS, SpikeClass.CS):
-        ticks = [a.sample_index for a in annotations if a.label is klass]
+        ticks = [a.timestamp for a in annotations if a.klass is klass]
         assert all(b - a >= min_ticks for a, b in zip(ticks, ticks[1:]))
 
 
 def test_generate_annotations_inside_recording(recording):
     samples, annotations, cfg = recording
-    assert all(0 <= a.sample_index < len(samples) for a in annotations)
+    assert all(0 <= a.timestamp < len(samples) for a in annotations)
     # truncated spikes at the end are skipped, never annotated; the
     # narrowest jittered template still needs this much room
     spans = {
@@ -127,7 +151,7 @@ def test_generate_annotations_inside_recording(recording):
         SpikeClass.CS: int(1.75e-3 * 0.9 * cfg.sample_rate_hz),
     }
     for ann in annotations[-20:]:
-        assert ann.sample_index + spans[ann.label] <= len(samples)
+        assert ann.timestamp + spans[ann.klass] <= len(samples)
 
 
 def test_generate_contains_saturation(recording):
@@ -138,7 +162,7 @@ def test_generate_contains_saturation(recording):
 
 def test_generate_class_mix(recording):
     _, annotations, _ = recording
-    labels = [a.label for a in annotations]
+    labels = [a.klass for a in annotations]
     assert labels.count(SpikeClass.SS) > 100
     assert labels.count(SpikeClass.CS) > 10
 

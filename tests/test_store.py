@@ -1,3 +1,4 @@
+import csv
 import struct
 
 import numpy as np
@@ -171,3 +172,16 @@ def test_read_rejects_damage(tmp_path):
     path.write_bytes(good + struct.pack("<II", 10, 5))
     with pytest.raises(FormatError):
         store.read_event_log(path)
+
+
+def test_events_csv_roundtrip(tmp_path):
+    events = [
+        store.EventRecord(100, SpikeClass.SS),
+        store.EventRecord(250, SpikeClass.CS),
+        store.EventRecord(400, SpikeClass.F),
+    ]
+    path = tmp_path / "events.csv"
+    store.write_events_csv(path, events, ["timestamp", "class"])
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["timestamp", "class"], ["100", "SS"], ["250", "CS"], ["400", "F"]]

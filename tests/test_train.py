@@ -11,31 +11,15 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial import cKDTree
 
-from spikestage import nn, signal
+from spikestage import nn
 from spikestage import train as tr
 from spikestage.analysis import overall_accuracy
 from spikestage.config import DseConfig, TrainConfig
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
+from spikestage.store import EventRecord
 
-from oracles import dataset_jsonl
-
-
-def make_cluster_dataset(counts=(20, 20, 20), seed=0, spread=4.0):
-    """Three well-separated waveform clusters, one per class."""
-    rng = np.random.default_rng(seed)
-    centers = {
-        SpikeClass.CS: np.linspace(-90.0, 90.0, 40),
-        SpikeClass.SS: np.linspace(90.0, -90.0, 40),
-        SpikeClass.F: np.zeros(40),
-    }
-    waveforms, labels = [], []
-    for klass, n in zip(SpikeClass, counts):
-        for _ in range(n):
-            w = np.clip(np.round(centers[klass] + rng.normal(0.0, spread, 40)), -128, 127)
-            waveforms.append(w)
-            labels.append(klass)
-    return tr.Dataset(np.reshape(waveforms, (-1, 40)), labels, 100 * np.arange(len(labels)))
+from oracles import dataset_jsonl, make_cluster_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +29,8 @@ def make_cluster_dataset(counts=(20, 20, 20), seed=0, spread=4.0):
 def test_build_dataset_labeling(recording, dataset):
     samples, annotations, cfg = recording
     window = 1.0 * cfg.sample_rate_hz / 1000.0
-    ann_ticks = np.array([a.sample_index for a in annotations])
-    ann_label = {a.sample_index: a.label for a in annotations}
+    ann_ticks = np.array([a.timestamp for a in annotations])
+    ann_label = {a.timestamp: a.klass for a in annotations}
     assert len(dataset) > 100
     by_class = Counter(item.label for item in dataset)
     assert by_class[SpikeClass.SS] > by_class[SpikeClass.CS] > 0
@@ -63,7 +47,7 @@ def test_build_dataset_labeling(recording, dataset):
 
 def nearest_label_oracle(ticks, annotations, window):
     """The per-detection labeling loop build_dataset ran before it was vectorized."""
-    ann_ticks = np.array([a.sample_index for a in annotations], dtype=np.float64)
+    ann_ticks = np.array([a.timestamp for a in annotations], dtype=np.float64)
     labels = []
     for t in ticks:
         label = SpikeClass.F
@@ -76,7 +60,7 @@ def nearest_label_oracle(ticks, annotations, window):
                     if dist is None or d < dist:
                         best, dist = cand, d
             if best is not None and dist <= window:
-                label = annotations[best].label
+                label = annotations[best].klass
         labels.append(int(label))
     return labels
 
@@ -95,7 +79,7 @@ def nearest_label_oracle(ticks, annotations, window):
 def test_label_detections_matches_loop(ann, ticks, window):
     # ties, no annotations, ticks before the first and after the last
     # annotation, distances of exactly the window, repeated annotation ticks
-    annotations = [signal.Annotation(t, k) for t, k in sorted(ann, key=lambda a: a[0])]
+    annotations = [EventRecord(t, k) for t, k in sorted(ann, key=lambda a: a[0])]
     labels = tr.label_detections(np.array(ticks, dtype=np.int64), annotations, window)
     assert labels.tolist() == nearest_label_oracle(ticks, annotations, window)
 
