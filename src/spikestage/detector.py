@@ -19,10 +19,13 @@ detector_trace computes the same values for a whole recording and is what
 the vectorized pipeline uses.  They are bit-identical: the smoothers and the
 energy operator run as array passes over blocks of CHUNK samples, carrying
 their state across block edges, and both feed the one threshold rule,
-threshold_update, tick by tick until it latches.  The trace keeps the int8
-capture code of every smoothed sample (quantize_capture_array, the one
-capture quantizer) and the candidate ticks, so its memory is one byte per
-sample plus eight per candidate.
+threshold_update, tick by tick until it latches.  Given the pipeline's busy
+period, the trace also applies the capture rule inside its block loop: each
+block's candidates are thinned at once to the honored detections, and only
+their windows of smoothed samples are quantized, by quantize_capture_array,
+the one capture quantizer.  A block's floats and candidates are dropped
+before the next block is computed, so the trace keeps 8 bytes per honored
+detection plus 40 per capture, whatever the candidate count.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from .config import DetectorConfig
-from .nn import ACT_QMAX, ACT_QMIN
+from .nn import ACT_QMAX, ACT_QMIN, WAVEFORM_SAMPLES
 
 CHUNK = 1 << 17  # samples per block of detector_trace: a few MB of float64 temporaries
 
@@ -160,6 +164,8 @@ def smoothed_blocks(samples: np.ndarray, cfg: DetectorConfig):
     y is the smoothed samples and y_neo the smoothed energy of the block.
     Both smoothers' filter state and the last two smoothed samples carry
     across block edges, so the blocks are the whole-array pass cut at start.
+    A block is released before the next one is computed, so a consumer that
+    drops its own references holds one block of floats at a time.
     """
     zi_signal, zi_neo = np.zeros(1), np.zeros(1)
     prev = np.zeros(2)
@@ -168,14 +174,21 @@ def smoothed_blocks(samples: np.ndarray, cfg: DetectorConfig):
         y_neo = smooth(neo_stream(y, prev), cfg.alpha_neo, zi_neo)
         prev = np.concatenate((prev, y[-2:]))[-2:]
         yield start, y, y_neo
+        del y, y_neo
 
 
 @dataclass
 class DetectorTrace:
-    """Detector pass over a whole recording, at one byte per sample."""
+    """What a detector pass over a whole recording keeps.
 
-    codes: np.ndarray  # int8 capture code of every smoothed sample
+    Without a busy period, candidates holds every candidate tick and
+    captures is empty; with one, candidates holds the honored detections
+    and captures the int8 windows of those whose capture is complete.
+    """
+
     candidates: np.ndarray  # int64 ticks after convergence with energy above threshold
+    captures: np.ndarray  # int8 (k, 40): quantized samples t+1..t+40 of the first k candidates
+    candidate_count: int  # ticks above threshold after convergence, before any thinning
     converged_tick: int | None  # tick whose update latched convergence
     threshold: float  # frozen threshold (0.0 when never converged)
 
@@ -191,36 +204,114 @@ def _calibrate(state: DetectorState, cfg: DetectorConfig, y_neo: np.ndarray) -> 
     return len(y_neo)
 
 
-def detector_trace(samples: np.ndarray, cfg: DetectorConfig) -> DetectorTrace:
+def _honored_detections(candidates: np.ndarray, busy_ticks: int) -> np.ndarray:
+    """Greedy scan: keep every candidate tick not masked by a busy period.
+
+    hop[i] is the first candidate at or past candidate i's busy end.  The
+    first candidate is honored (no earlier one masks it), and so is every
+    hop target, so the scan visits honored candidates only.
+    """
+    # a memoryview yields Python ints without a list of every candidate
+    hop = memoryview(np.searchsorted(candidates, candidates + busy_ticks, side="left"))
+    n = len(candidates)
+    kept = []
+    i = 0
+    while i < n:
+        kept.append(i)
+        i = hop[i]
+    return candidates[kept].astype(np.int64, copy=False)
+
+
+class _CaptureRule:
+    """The pipeline's capture rule, applied one detector block at a time.
+
+    A candidate is honored when no earlier honored one keeps the state
+    machine busy (busy_ticks ticks from its detection), and its capture is
+    the window of smoothed samples t+1..t+WAVEFORM_SAMPLES, quantized as
+    soon as the blocks seen hold all of it.  Between blocks it carries the
+    busy-until tick, the honored ticks whose window is still open and a
+    copy of the last WAVEFORM_SAMPLES smoothed samples, which a window
+    begun in an earlier block reads.
+    """
+
+    def __init__(self, busy_ticks: int):
+        self.busy_ticks = busy_ticks
+        self.next_free = 0  # first tick no busy period masks
+        self.open = np.empty(0, dtype=np.int64)  # honored ticks whose window is not complete
+        self.tail = np.empty(0)  # smoothed samples just before the current block
+        self.captures = [np.empty((0, WAVEFORM_SAMPLES), dtype=np.int8)]
+
+    def feed(self, start: int, y: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """Thin one block's candidates to the honored ones; capture the windows it completes."""
+        unmasked = candidates[np.searchsorted(candidates, self.next_free, side="left") :]
+        honored = _honored_detections(unmasked, self.busy_ticks)
+        if len(honored):
+            self.next_free = int(honored[-1]) + self.busy_ticks
+        ticks = np.concatenate((self.open, honored))
+        # windows ending on or before the block's last sample are complete
+        done = int(np.searchsorted(ticks, start + len(y) - 1 - WAVEFORM_SAMPLES, side="right"))
+        if done:
+            self.captures.append(quantize_capture_array(self._windows(start, y, ticks[:done])))
+        self.open = ticks[done:]
+        self.tail = np.concatenate((self.tail, y[-WAVEFORM_SAMPLES:]))[-WAVEFORM_SAMPLES:]
+        return honored
+
+    def _windows(self, start: int, y: np.ndarray, ticks: np.ndarray) -> np.ndarray:
+        """Smoothed windows t+1..t+40 of ticks, each ending inside the block y at start."""
+        back = int(np.searchsorted(ticks, start - 1, side="left"))  # windows begun before start
+        rows = []
+        if back:
+            # such a window ends within the block's first WAVEFORM_SAMPLES - 1 samples
+            head = np.concatenate((self.tail, y[: WAVEFORM_SAMPLES - 1]))
+            first = start - len(self.tail)
+            rows.append(sliding_window_view(head, WAVEFORM_SAMPLES)[ticks[:back] + 1 - first])
+        if back < len(ticks):
+            rows.append(sliding_window_view(y, WAVEFORM_SAMPLES)[ticks[back:] + 1 - start])
+        return np.concatenate(rows)
+
+
+def detector_trace(
+    samples: np.ndarray, cfg: DetectorConfig, busy_ticks: int | None = None
+) -> DetectorTrace:
     """Smooth, energy-transform, and converge the threshold over a recording.
 
-    Walks the recording in CHUNK-sample blocks and keeps only the int8
-    capture codes and the candidate ticks; the float64 smoothed samples and
-    energy exist one block at a time.  The threshold updates only until
-    convergence and is frozen afterwards, matching the pipeline's startup
-    behaviour.
+    Walks the recording in CHUNK-sample blocks; the float64 smoothed
+    samples and energy exist one block at a time.  The threshold updates
+    only until convergence and is frozen afterwards, matching the
+    pipeline's startup behaviour.  Without busy_ticks the trace keeps every
+    candidate tick.  With it, each block's candidates are thinned to the
+    detections honored under a busy period of busy_ticks ticks, and the
+    trace keeps those and the int8 captures of their complete windows.
     """
-    codes = np.empty(len(samples), dtype=np.int8)
     state = DetectorState()
     converged_tick = None
+    count = 0
+    rule = None if busy_ticks is None else _CaptureRule(busy_ticks)
     found = [np.empty(0, dtype=np.int64)]
     for start, y, y_neo in smoothed_blocks(samples, cfg):
-        codes[start : start + len(y)] = quantize_capture_array(y)
         fed = 0
         if converged_tick is None:
             fed = _calibrate(state, cfg, y_neo)
-            if not state.converged:
-                continue
-            converged_tick = start + fed - 1
-        found.append(start + fed + np.flatnonzero(y_neo[fed:] > state.threshold))
+            if state.converged:
+                converged_tick = start + fed - 1
+        # until convergence fed is the whole block, so no tick is a candidate
+        block = start + fed + np.flatnonzero(y_neo[fed:] > state.threshold)
+        count += len(block)
+        found.append(block if rule is None else rule.feed(start, y, block))
+        del y, y_neo, block
+    captures = [np.empty((0, WAVEFORM_SAMPLES), dtype=np.int8)] if rule is None else rule.captures
     return DetectorTrace(
-        codes=codes,
         candidates=np.concatenate(found),
+        captures=np.concatenate(captures),
+        candidate_count=count,
         converged_tick=converged_tick,
         threshold=0.0 if converged_tick is None else state.threshold,
     )
 
 
 def detection_candidates(trace: DetectorTrace) -> np.ndarray:
-    """Ticks after convergence whose smoothed energy exceeds the threshold."""
+    """Ticks after convergence whose smoothed energy exceeds the threshold.
+
+    A trace taken under a busy period holds the honored ones only.
+    """
     return trace.candidates

@@ -21,14 +21,16 @@ stored, so RunStats.events_emitted counts the SS and CS events only.
 The Pipeline class steps tick by tick and is the behavioural reference.
 run_pipeline computes the identical result from whole-stream array passes
 and is what the CLI uses; capture_detections shares its capture path
-(detector pass, honored spacing, complete captures, gather) at the
-one-tick latency, so training data is captured exactly as deployed.  Both
-paths quantize captures with the detector's one quantize_capture_array:
-Pipeline.step when it classifies, detector_trace for every sample, so the
-array paths read captures straight from the trace's int8 codes.  The
-module holds no file format: the event log and the events CSV live in
-store.  The pipeline is single-threaded by construction; instances must
-not be shared.
+(one detector pass under the busy period, which keeps the honored
+detections and their complete captures) at the one-tick latency, so
+training data is captured exactly as deployed.  Both paths quantize
+captures with the detector's one quantize_capture_array: Pipeline.step
+when it classifies, detector_trace for the windows of honored detections
+only, block by block, so the array paths never hold a code per sample or
+a tick per candidate.  run_pipeline classifies the captures
+CLASSIFY_BATCH rows at a time.  The module holds no file format: the
+event log and the events CSV live in store.  The pipeline is
+single-threaded by construction; instances must not be shared.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import detector as det
 from .config import DetectorConfig
@@ -51,6 +52,8 @@ from .nn import (
     infer_quantized_batch,
 )
 from .store import MAX_TIMESTAMP, EventRecord
+
+CLASSIFY_BATCH = 2048  # captures per classifier call: about 1 MB of inference temporaries
 
 
 class FsmState(Enum):
@@ -189,43 +192,27 @@ class Pipeline:
         return events
 
 
-def _honored_detections(candidates: np.ndarray, busy_ticks: int) -> np.ndarray:
-    """Greedy scan: keep every candidate tick not masked by a busy period.
-
-    hop[i] is the first candidate at or past candidate i's busy end.  The
-    first candidate is honored (ticks are non-negative), and so is every hop
-    target, so the scan visits honored candidates only.
-    """
-    # a memoryview yields Python ints without a list of every candidate
-    hop = memoryview(np.searchsorted(candidates, candidates + busy_ticks, side="left"))
-    n = len(candidates)
-    kept = []
-    i = 0
-    while i < n:
-        kept.append(i)
-        i = hop[i]
-    return candidates[kept].astype(np.int64, copy=False)
-
-
 def _capture_path(samples, det_cfg, classify_ticks):
-    """Detector pass and the capture rule: (trace, honored ticks, complete ticks).
+    """Detector pass under the capture rule: (trace, honored ticks, complete ticks).
 
     A detection is honored when no earlier honored detection keeps the
     state machine busy (40 capture + classify_ticks + 1 ticks); its capture
-    is complete when the samples t+1..t+40 lie inside the stream.
+    is complete when the samples t+1..t+40 lie inside the stream, so the
+    complete ticks are the first len(trace.captures) honored ones.
     """
-    trace = det.detector_trace(samples, det_cfg or DetectorConfig())
     busy = WAVEFORM_SAMPLES + classify_ticks + 1
-    honored = _honored_detections(det.detection_candidates(trace), busy)
-    complete = honored[honored + WAVEFORM_SAMPLES <= len(samples) - 1]
-    return trace, honored, complete
+    trace = det.detector_trace(samples, det_cfg or DetectorConfig(), busy)
+    honored = det.detection_candidates(trace)
+    return trace, honored, honored[: len(trace.captures)]
 
 
-def _gather(trace: det.DetectorTrace, ticks: np.ndarray) -> np.ndarray:
-    """int8 captures: the codes of the smoothed samples t+1..t+40 of each tick."""
-    if len(trace.codes) < WAVEFORM_SAMPLES:  # no window, and no complete capture
-        return np.empty((0, WAVEFORM_SAMPLES), dtype=np.int8)
-    return sliding_window_view(trace.codes, WAVEFORM_SAMPLES)[ticks + 1]
+def _classify(model: QuantizedMlpModel, captures: np.ndarray) -> np.ndarray:
+    """Class index of each int8 capture, CLASSIFY_BATCH rows per classifier call."""
+    labels = np.empty(len(captures), dtype=np.intp)
+    for start in range(0, len(captures), CLASSIFY_BATCH):
+        logits = infer_quantized_batch(model, captures[start : start + CLASSIFY_BATCH])
+        labels[start : start + CLASSIFY_BATCH] = np.argmax(logits, axis=1)
+    return labels
 
 
 def capture_detections(samples, det_cfg: DetectorConfig | None = None):
@@ -237,7 +224,7 @@ def capture_detections(samples, det_cfg: DetectorConfig | None = None):
     matches what the classifier sees in the field.
     """
     trace, _, complete = _capture_path(samples, det_cfg, 1)
-    return complete, _gather(trace, complete)
+    return complete, trace.captures
 
 
 def run_pipeline(
@@ -271,7 +258,7 @@ def run_pipeline(
         n - stats.init_ticks - stats.detected_ticks - stats.classifying_ticks
     )
 
-    labels = np.argmax(infer_quantized_batch(model, _gather(trace, classified)), axis=1)
+    labels = _classify(model, trace.captures[: len(classified)])
     counts = np.bincount(labels, minlength=NUM_CLASSES).tolist()
     klasses = tuple(SpikeClass)  # in logit order
     stats.class_counts = {k.name: c for k, c in zip(klasses, counts)}

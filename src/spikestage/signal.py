@@ -19,9 +19,9 @@ Recording file layout (little endian):
     16      2*n   samples, int16
 
 Annotations travel separately as CSV with header ``sample_index,label``,
-rows sorted by sample index, indices non-negative, labels ``SS`` or ``CS``.
-write_annotations checks them and leaves the rows to store.write_events_csv,
-the one writer of tick-and-class CSV rows.
+rows sorted by sample index, indices non-negative integers, labels ``SS``
+or ``CS``.  write_annotations checks them and leaves the rows to
+store.write_events_csv, the one writer of tick-and-class CSV rows.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .config import RecordingConfig, SynthesisParams
 from .errors import FormatError, ValidationError
 from .nn import SpikeClass
-from .store import MAX_TIMESTAMP, EventRecord, write_events_csv
+from .store import MAX_TIMESTAMP, EventRecord, check_ticks, write_events_csv
 
 RECORDING_MAGIC = b"SPKR"
 RECORDING_VERSION = 1
@@ -215,6 +215,7 @@ def read_recording(path) -> tuple[np.ndarray, RecordingConfig]:
 
 
 def write_annotations(path, annotations: list[EventRecord]) -> None:
+    check_ticks(ann.timestamp for ann in annotations)
     prev = -1
     for ann in annotations:
         if ann.klass not in (SpikeClass.SS, SpikeClass.CS):

@@ -50,11 +50,28 @@ class EventRecord(NamedTuple):
     klass: SpikeClass  # any class, but the log stores and ground truth holds only SS and CS
 
 
+def check_ticks(ticks) -> None:
+    """Refuse any tick that is not an integer: a plain int or a numpy integer, never a bool.
+
+    Both tick-and-class writers check their ticks here, so neither stores a
+    truncated float nor writes a row its reader refuses.  One pass over the
+    ticks' types.
+    """
+    for kind in set(map(type, ticks)):
+        if kind is not int and not issubclass(kind, np.integer):
+            raise ValidationError(f"tick must be an integer, got {kind.__name__}")
+
+
 def pack_words(events: list[EventRecord]) -> np.ndarray:
     """Encode events as u32 words; validates every event."""
     if not events:
         return np.empty(0, dtype=np.uint32)
-    ts = np.array([e.timestamp for e in events], dtype=np.int64)
+    ticks = [e.timestamp for e in events]
+    check_ticks(ticks)
+    try:
+        ts = np.array(ticks, dtype=np.int64)
+    except OverflowError:  # past int64, so past 31 bits too
+        raise ValidationError("timestamp does not fit in 31 bits") from None
     if ts.min() < 0 or ts.max() > MAX_TIMESTAMP:
         raise ValidationError("timestamp does not fit in 31 bits")
     # identity, not equality: the plain int 1 is not SpikeClass.SS

@@ -26,6 +26,22 @@ def naive_dead_zone(events, zone_ticks):
     return kept
 
 
+def naive_honored(candidates, busy_ticks):
+    """The greedy scan as a plain loop: one bisection per honored tick."""
+    honored = []
+    i = 0
+    next_free = 0
+    while i < len(candidates):
+        t = int(candidates[i])
+        if t >= next_free:
+            honored.append(t)
+            next_free = t + busy_ticks
+            i = int(np.searchsorted(candidates, next_free, side="left"))
+        else:
+            i += 1
+    return honored
+
+
 def smoothed_energy(x, cfg):
     """The smoothed energy of a whole stream, from one call of each array primitive."""
     return det.smooth(det.neo_stream(det.smooth(x, cfg.alpha_signal)), cfg.alpha_neo)

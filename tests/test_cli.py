@@ -246,6 +246,20 @@ def test_detect_subcommand(cli_run, tmp_path):
     assert len(trace.read_text().splitlines()) == 2001
 
 
+# sha256 of `detect` stdout on the seed-11 5 s recording, recorded before the
+# capture rule moved into the detector's block loop
+DETECT_SHA256 = "934ff980dbc9a8b7f6278e77e8289ce7f8a468bb25a90f7ec4f1ea196e606277"
+
+
+def test_detect_bytes_are_pinned(cli_run, tmp_path):
+    rec, ann = tmp_path / "r.spkr", tmp_path / "r.csv"
+    cli_run("generate", "--out", rec, "--annotations", ann, "--seed", 11, "--duration-s", 5)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["detect", "--in", str(rec)]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DETECT_SHA256
+
+
 def test_dse_table_and_infeasible_floor(cli_run, tmp_path):
     ds_path = tmp_path / "tiny.jsonl"
     tr.save_dataset(ds_path, make_cluster_dataset())

@@ -9,7 +9,7 @@ from spikestage import detector as det
 from spikestage.config import DetectorConfig
 from spikestage.errors import ValidationError
 
-from oracles import smoothed_energy
+from oracles import naive_honored, smoothed_energy
 
 
 def test_iir_hand_example():
@@ -92,10 +92,24 @@ def test_trace_matches_step_loop_bitexact(recording):
 
     assert np.array_equal(y, det.smooth(x, cfg.alpha_signal))
     assert np.array_equal(y_neo, smoothed_energy(x, cfg))
-    assert np.array_equal(trace.codes, det.quantize_capture_array(y))
     assert det.detection_candidates(trace).tolist() == np.flatnonzero(fired).tolist()
+    assert trace.candidate_count == int(fired.sum())
+    assert trace.captures.shape == (0, 40) and trace.captures.dtype == np.int8
     assert converged_tick == trace.converged_tick
     assert frozen == trace.threshold
+
+    # under a busy period the trace keeps the honored ticks and their captures
+    for busy in (42, 87):
+        captured = det.detector_trace(x, cfg, busy)
+        honored = naive_honored(np.flatnonzero(fired), busy)
+        complete = [t for t in honored if t + 40 <= len(x) - 1]
+        assert len(complete) > 10
+        assert det.detection_candidates(captured).tolist() == honored
+        assert captured.candidate_count == int(fired.sum())
+        assert captured.captures.dtype == np.int8 and len(captured.captures) == len(complete)
+        for t, row in zip(complete, captured.captures):
+            assert np.array_equal(row, det.quantize_capture_array(y[t + 1 : t + 41]))
+        assert (captured.converged_tick, captured.threshold) == (converged_tick, frozen)
 
 
 def converge_oracle(y_neo, cfg):

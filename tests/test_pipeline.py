@@ -15,6 +15,8 @@ from spikestage.config import DetectorConfig, RecordingConfig, SynthesisParams
 from spikestage.errors import ValidationError
 from spikestage.nn import SpikeClass
 
+from oracles import naive_honored
+
 
 def naive_quantize(y: float) -> int:
     return max(-128, min(127, math.floor(y / 4)))
@@ -236,7 +238,7 @@ def check_capture_path(stream, det_cfg, classify_ticks):
         store.EventRecord(int(t), SpikeClass(int(k)))
         for t, k in zip(ticks[keep], klasses)
     ]
-    return events, det.detector_trace(stream, det_cfg)
+    return events
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,19 +247,32 @@ def test_capture_path_matches_step(stream, classify_ticks, chunk):
     # block edges of the detector pass fall inside the convergence window,
     # inside captures and inside the classify latency
     det_cfg = DetectorConfig(convergence_window=256)
-    whole = det.detector_trace(stream, det_cfg)  # one block: streams are shorter than CHUNK
+    busy = nn.WAVEFORM_SAMPLES + classify_ticks + 1
+    # one block: streams are shorter than CHUNK
+    whole = [det.detector_trace(stream, det_cfg), det.detector_trace(stream, det_cfg, busy)]
     saved, det.CHUNK = det.CHUNK, chunk
     try:
-        events, chunked = check_capture_path(stream, det_cfg, classify_ticks)
+        events = check_capture_path(stream, det_cfg, classify_ticks)
+        chunked = [det.detector_trace(stream, det_cfg), det.detector_trace(stream, det_cfg, busy)]
         if events:
             # cut right after the last classified capture: complete, never classified
             cut = stream[: events[-1].timestamp + nn.WAVEFORM_SAMPLES + 1]
             check_capture_path(cut, det_cfg, classify_ticks)
     finally:
         det.CHUNK = saved
-    assert np.array_equal(chunked.codes, whole.codes)
-    assert np.array_equal(chunked.candidates, whole.candidates)
-    assert (chunked.converged_tick, chunked.threshold) == (whole.converged_tick, whole.threshold)
+    for a, b in zip(chunked, whole):
+        assert np.array_equal(a.candidates, b.candidates)
+        assert np.array_equal(a.captures, b.captures)
+        assert a.candidate_count == b.candidate_count
+        assert (a.converged_tick, a.threshold) == (b.converged_tick, b.threshold)
+    # and the whole pass keeps the honored ticks and their smoothed windows
+    every, captured = whole
+    honored = captured.candidates
+    assert honored.tolist() == naive_honored(every.candidates, busy)
+    assert len(captured.captures) == int((honored + nn.WAVEFORM_SAMPLES <= len(stream) - 1).sum())
+    y = det.smooth(stream, det_cfg.alpha_signal)
+    for t, row in zip(honored.tolist(), captured.captures):
+        assert np.array_equal(row, det.quantize_capture_array(y[t + 1 : t + 41]))
 
 
 def test_short_streams_match_step():
@@ -275,19 +290,64 @@ def test_short_streams_match_step():
     assert len(events) == 1  # the 45-sample stream classifies its capture
 
 
-def test_replay_memory_is_bytes_per_sample():
-    # a normally converging 240 s sparse recording: about 1% of its samples
-    # are candidates, so the trace's int8 codes dominate the peak
-    cfg = RecordingConfig(duration_s=240.0, seed=35)
-    samples, _ = signal.generate_recording(cfg, SynthesisParams(ss_rate_hz=5.0, cs_rate_hz=0.5))
+def replay_peak(samples):
+    """run_pipeline's stats and its tracemalloc peak, the caller's samples not counted."""
     tracemalloc.start()
     try:
         _, stats = pl.run_pipeline(samples, SMALL_MODEL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return stats, peak
+
+
+def test_replay_memory_is_bytes_per_sample():
+    # a normally converging 240 s sparse recording: the trace keeps only its
+    # 2,417 honored ticks and their captures, so the peak is about three
+    # blocks of float64 temporaries (0.56 B/sample measured; 1.99 when every
+    # sample had an int8 code)
+    cfg = RecordingConfig(duration_s=240.0, seed=35)
+    samples, _ = signal.generate_recording(cfg, SynthesisParams(ss_rate_hz=5.0, cs_rate_hz=0.5))
+    stats, peak = replay_peak(samples)
     assert stats.converged_tick < 10_000 and stats.threshold > 100.0
-    assert peak <= 4 * len(samples)
+    assert peak <= len(samples)
+
+
+def test_replay_memory_does_not_follow_candidates():
+    # the 60 s draw of the same seed latches early, at threshold 0.72, and
+    # nearly every sample is a candidate; the peak follows the detections
+    # instead (6.7 MB measured, 34 MB when the trace held every candidate)
+    cfg = RecordingConfig(duration_s=60.0, seed=35)
+    samples, _ = signal.generate_recording(cfg, SynthesisParams(ss_rate_hz=5.0, cs_rate_hz=0.5))
+    stats, peak = replay_peak(samples)
+    assert stats.converged_tick == 4097 and stats.threshold < 1.0
+    assert stats.detections == 34_721
+    assert peak <= 2 * len(samples) + 300 * stats.detections
+
+
+def test_batched_classification_is_exact(ten_seconds, monkeypatch):
+    # the committed 40-16-7-5-4-3 model requantizes every layer, so a batch
+    # that changed any row's arithmetic would show in its logits
+    model = nn.load_model(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "model_q.json")
+    events, stats = pl.run_pipeline(ten_seconds, model)  # one batch
+    _, waveforms = pl.capture_detections(ten_seconds)
+    assert pl.CLASSIFY_BATCH >= len(waveforms) > 3 * 100
+
+    batches = []
+
+    def recorded(model, rows):
+        batches.append(nn.infer_quantized_batch(model, rows))
+        return batches[-1]
+
+    monkeypatch.setattr(pl, "CLASSIFY_BATCH", 100)
+    monkeypatch.setattr(pl, "infer_quantized_batch", recorded)
+    batched, batched_stats = pl.run_pipeline(ten_seconds, model)
+    assert batched == events
+    assert batched_stats.to_dict() == stats.to_dict()
+    assert [len(b) for b in batches[:-1]] == [100] * (len(batches) - 1) and 0 < len(batches[-1]) <= 100
+    logits = np.concatenate(batches)
+    assert np.array_equal(logits, nn.infer_quantized_batch(model, waveforms[: len(logits)]))
+    assert len(logits) == stats.classify_invocations
 
 
 def test_inference_memory_is_int32_per_capture():
@@ -308,22 +368,6 @@ def test_inference_memory_is_int32_per_capture():
     assert peak <= 600 * len(waveforms)
 
 
-def naive_honored(candidates, busy_ticks):
-    """The greedy scan as a plain loop: one bisection per honored tick."""
-    honored = []
-    i = 0
-    next_free = 0
-    while i < len(candidates):
-        t = int(candidates[i])
-        if t >= next_free:
-            honored.append(t)
-            next_free = t + busy_ticks
-            i = int(np.searchsorted(candidates, next_free, side="left"))
-        else:
-            i += 1
-    return honored
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     # a drawn upper bound varies the density, from runs of adjacent ticks to sparse ones
@@ -334,7 +378,7 @@ def naive_honored(candidates, busy_ticks):
 )
 def test_honored_scan_matches_loop(ticks, busy):
     candidates = np.array(ticks, dtype=np.int64)
-    honored = pl._honored_detections(candidates, busy)
+    honored = det._honored_detections(candidates, busy)
     assert honored.dtype == np.int64
     assert honored.tolist() == naive_honored(candidates, busy)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikestage import store
+from spikestage import signal, store
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
 
@@ -142,6 +142,75 @@ def test_pack_and_write_reject_unstorable_events(tmp_path, events):
     with pytest.raises(ValidationError):
         store.write_event_log(path, events, 24414.0)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("tick", [7.9, 1.5, 2.0, True, np.float64(3.0), "4", None])
+def test_writers_refuse_non_integer_ticks(tmp_path, tick):
+    # a float was truncated into the log and written as "1.5" into the CSV,
+    # which read_annotations then refused; a bool passed as 1
+    events = [store.EventRecord(0, SpikeClass.SS), store.EventRecord(tick, SpikeClass.CS)]
+    log, csv_path = tmp_path / "events.spkevt", tmp_path / "ann.csv"
+    with pytest.raises(ValidationError, match="tick must be an integer"):
+        store.write_event_log(log, events, 24414.0)
+    with pytest.raises(ValidationError, match="tick must be an integer"):
+        signal.write_annotations(csv_path, events)
+    assert not log.exists() and not csv_path.exists()
+
+
+def test_writers_take_numpy_integer_ticks(tmp_path):
+    events = [
+        store.EventRecord(np.int64(3), SpikeClass.SS),
+        store.EventRecord(np.uint16(40), SpikeClass.CS),
+        store.EventRecord(np.int32(2**31 - 1), SpikeClass.SS),
+    ]
+    log, csv_path = tmp_path / "events.spkevt", tmp_path / "ann.csv"
+    store.write_event_log(log, events, 24414.0)
+    signal.write_annotations(csv_path, events)
+    assert store.read_event_log(log)[0] == signal.read_annotations(csv_path) == events
+    with pytest.raises(ValidationError, match="31 bits"):  # past int64, not an OverflowError
+        store.pack_words([store.EventRecord(2**64, SpikeClass.SS)])
+
+
+# ticks of every kind a caller might pass, and orders that are often increasing
+TICKS = st.one_of(
+    st.integers(-2, 2**31 + 2),
+    st.integers(0, 2**31 - 1).map(np.int64),
+    st.integers(0, 2**16 - 1).map(np.uint16),
+    st.integers(2**63 - 2, 2**70),
+    st.floats(allow_nan=True),
+    st.booleans(),
+)
+
+
+@st.composite
+def tick_class_rows(draw):
+    rows = draw(st.lists(st.tuples(TICKS, st.sampled_from(list(SpikeClass))), max_size=6))
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: float(row[0]))
+    return [store.EventRecord(t, k) for t, k in rows]
+
+
+@pytest.fixture(scope="module")
+def writer_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writers")
+
+
+@settings(max_examples=60, deadline=None)
+@given(tick_class_rows())
+def test_what_a_writer_accepts_reads_back_unchanged(writer_dir, events):
+    writers = (
+        (lambda p: store.write_event_log(p, events, 24414.0), lambda p: store.read_event_log(p)[0]),
+        (lambda p: signal.write_annotations(p, events), signal.read_annotations),
+    )
+    for write, read in writers:
+        path = writer_dir / "out"
+        path.unlink(missing_ok=True)
+        try:
+            write(path)
+        except ValidationError:
+            assert not path.exists()
+            continue
+        assert read(path) == events
 
 
 def test_read_rejects_damage(tmp_path):
