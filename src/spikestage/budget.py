@@ -2,7 +2,9 @@
 
 Plain arithmetic on the published figures in config.ResourceModel: average
 power per subsystem, battery life, and the storage a run needs or the
-configured storage holds.  It imports no numerical library, so `report`
+configured storage holds.  The ADC and an always-on detector run once per
+sample, at the one sample rate a config holds, recording.sample_rate_hz,
+which the caller passes in.  It imports no numerical library, so `report`
 starts without numpy.  A stored event is one RECORD_BYTES word; store
 holds the word's layout.
 """
@@ -36,11 +38,11 @@ def capacity_duration_s(model: ResourceModel) -> float:
     return seconds
 
 
-def power_breakdown(model: ResourceModel) -> dict[str, float]:
-    """Average power per subsystem, in watts."""
-    adc = model.sample_rate_hz * model.e_adc_pj * 1e-12
+def power_breakdown(model: ResourceModel, sample_rate_hz: float) -> dict[str, float]:
+    """Average power per subsystem, in watts, for a recording sampled at sample_rate_hz."""
+    adc = sample_rate_hz * model.e_adc_pj * 1e-12
     if model.detector_energy_basis == "per_sample":
-        detect = model.sample_rate_hz * model.e_detect_nj * 1e-9
+        detect = sample_rate_hz * model.e_detect_nj * 1e-9
     else:
         detect = model.spike_rate_hz * model.e_detect_nj * 1e-9
     classify = model.spike_rate_hz * model.e_classify_nj * 1e-9
@@ -54,10 +56,9 @@ def power_breakdown(model: ResourceModel) -> dict[str, float]:
     }
 
 
-def battery_life_days(model: ResourceModel) -> float:
-    """How long the configured battery sustains the average power, in days."""
-    power = power_breakdown(model)["total_w"]
-    if power <= 0:
+def battery_life_days(model: ResourceModel, total_w: float) -> float:
+    """How long the configured battery sustains an average power of total_w watts, in days."""
+    if total_w <= 0:
         raise ValidationError("average power must be positive to size a battery")
     energy_j = model.battery_capacity_mah / 1000.0 * 3600.0 * model.battery_voltage_v
-    return energy_j / power / 86400.0
+    return energy_j / total_w / 86400.0

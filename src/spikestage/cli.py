@@ -328,12 +328,12 @@ def cmd_metrics(args, cfg) -> int:
 def cmd_report(args, cfg) -> int:
     model = cfg.resources
     duration_s = args.duration_s
-    breakdown = budget.power_breakdown(model)
+    breakdown = budget.power_breakdown(model, cfg.recording.sample_rate_hz)
     required = budget.storage_required(duration_s, model.spike_rate_hz)
     _emit(
         {
             "power_w": breakdown,
-            "battery_life_days": budget.battery_life_days(model),
+            "battery_life_days": budget.battery_life_days(model, breakdown["total_w"]),
             "storage": {
                 "duration_s": duration_s,
                 "required_bytes": required,

@@ -203,8 +203,10 @@ class ResourceModel:
     """Published energy figures and deployment constants.
 
     Energies are per operation; the detector figure is one full
-    detection cycle.  The battery voltage is an assumption (the cell
-    chemistry is not part of the published figures) and is echoed in
+    detection cycle.  The section holds no sample rate: the ADC, and the
+    detector under the per_sample basis, are charged once per sample at
+    recording.sample_rate_hz.  The battery voltage is an assumption (the
+    cell chemistry is not part of the published figures) and is echoed in
     every report that uses it.
     """
 
@@ -212,7 +214,6 @@ class ResourceModel:
     e_classify_nj: float = 311.0  # one classification
     e_store_nj: float = 0.28  # one stored event
     e_adc_pj: float = 0.5  # one ADC conversion
-    sample_rate_hz: float = 24414.0
     spike_rate_hz: float = 100.0  # sustained event rate for sizing
     battery_capacity_mah: float = 12.0
     battery_voltage_v: float = 1.5  # assumed cell voltage

@@ -21,9 +21,10 @@ energy operator run as array passes over blocks of CHUNK samples, carrying
 their state across block edges, and both feed the one threshold rule,
 threshold_update, tick by tick until it latches.  Given the pipeline's busy
 period, the trace also applies the capture rule inside its block loop: each
-block's candidates are thinned at once to the honored detections, and only
-their windows of smoothed samples are quantized, by quantize_capture_array,
-the one capture quantizer.  A block's floats and candidates are dropped
+block's candidates are thinned at once to the honored detections by
+store.spaced_positions, the one greedy spacing scan, and only their windows
+of smoothed samples are quantized, by quantize_capture_array, the one
+capture quantizer.  A block's floats and candidates are dropped
 before the next block is computed, so the trace keeps 8 bytes per honored
 detection plus 40 per capture, whatever the candidate count.
 """
@@ -38,6 +39,7 @@ from scipy.signal import lfilter
 
 from .config import DetectorConfig
 from .nn import ACT_QMAX, ACT_QMIN, WAVEFORM_SAMPLES
+from .store import spaced_positions
 
 CHUNK = 1 << 17  # samples per block of detector_trace: a few MB of float64 temporaries
 
@@ -204,24 +206,6 @@ def _calibrate(state: DetectorState, cfg: DetectorConfig, y_neo: np.ndarray) -> 
     return len(y_neo)
 
 
-def _honored_detections(candidates: np.ndarray, busy_ticks: int) -> np.ndarray:
-    """Greedy scan: keep every candidate tick not masked by a busy period.
-
-    hop[i] is the first candidate at or past candidate i's busy end.  The
-    first candidate is honored (no earlier one masks it), and so is every
-    hop target, so the scan visits honored candidates only.
-    """
-    # a memoryview yields Python ints without a list of every candidate
-    hop = memoryview(np.searchsorted(candidates, candidates + busy_ticks, side="left"))
-    n = len(candidates)
-    kept = []
-    i = 0
-    while i < n:
-        kept.append(i)
-        i = hop[i]
-    return candidates[kept].astype(np.int64, copy=False)
-
-
 class _CaptureRule:
     """The pipeline's capture rule, applied one detector block at a time.
 
@@ -244,7 +228,7 @@ class _CaptureRule:
     def feed(self, start: int, y: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Thin one block's candidates to the honored ones; capture the windows it completes."""
         unmasked = candidates[np.searchsorted(candidates, self.next_free, side="left") :]
-        honored = _honored_detections(unmasked, self.busy_ticks)
+        honored = unmasked[spaced_positions(unmasked, self.busy_ticks)]
         if len(honored):
             self.next_free = int(honored[-1]) + self.busy_ticks
         ticks = np.concatenate((self.open, honored))

@@ -4,9 +4,13 @@ A recording is a single channel of signed ADC samples.  The generator
 plants two spike shapes on a noisy, drifting baseline: a short biphasic
 spike (SS) of roughly 0.8 ms, and a longer complex shape (CS) whose
 initial spike is followed by three decaying wavelets over roughly 1.7 ms.
-Every planted spike is reported as an annotation at its onset sample, so
-downstream stages can be scored against ground truth: a list of
-store.EventRecord, the pipeline's own row type, of onset tick and class.
+Planted spikes keep min_interval_ms apart across both classes, spaced by
+store.spaced_positions, the greedy scan that also honors the device's
+detections outside its busy period.  Every planted spike is reported as an
+annotation at its onset sample, so downstream stages can be scored against
+ground truth: a list of store.EventRecord, the pipeline's own row type, of
+onset tick and class.  Parameters that overflow the signal to a non-finite
+value are refused, not rounded.
 
 Recording file layout (little endian):
 
@@ -38,7 +42,7 @@ import numpy as np
 from .config import RecordingConfig, SynthesisParams
 from .errors import FormatError, ValidationError
 from .nn import SpikeClass
-from .store import MAX_TIMESTAMP, EventRecord, check_ticks, write_events_csv
+from .store import MAX_TIMESTAMP, EventRecord, check_ticks, spaced_positions, write_events_csv
 
 RECORDING_MAGIC = b"SPKR"
 RECORDING_VERSION = 1
@@ -118,23 +122,22 @@ def generate_recording(
 
     ss_times = _poisson_times(rng, params.ss_rate_hz, cfg.duration_s)
     cs_times = _poisson_times(rng, params.cs_rate_hz, cfg.duration_s)
-    events = [(t, SpikeClass.SS) for t in ss_times] + [(t, SpikeClass.CS) for t in cs_times]
-    events.sort()
+    times = np.concatenate((ss_times, cs_times))
+    classes = np.repeat([SpikeClass.SS, SpikeClass.CS], [len(ss_times), len(cs_times)])
+    order = np.lexsort((classes, times))  # by time, then class
+    ticks = (times[order] * fs).astype(np.int64)  # floors, as every time is non-negative
+    classes = classes[order]
 
     # Enforce the minimum inter-spike interval across both classes in tick
     # units, so annotation spacing is exact after quantization to samples.
-    min_gap = int(math.ceil(gap))
-    kept: list[tuple[int, SpikeClass]] = []
-    last_tick = -min_gap
-    for t, label in events:
-        tick = int(t * fs)
-        if tick - last_tick >= min_gap:
-            kept.append((tick, label))
-            last_tick = tick
+    # Spikes are at least one tick apart, however short the interval; every
+    # tick is at most n, so a gap of n + 1 keeps the first spike only, and
+    # ticks + gap stays in int64.
+    kept = spaced_positions(ticks, min(max(math.ceil(gap), 1), n + 1))
 
     signal = np.zeros(n)
     annotations: list[EventRecord] = []
-    for tick, label in kept:
+    for tick, label in zip(ticks[kept].tolist(), map(SpikeClass, classes[kept].tolist())):
         amp = 1.0 + AMPLITUDE_JITTER * (2.0 * rng.random() - 1.0)
         width = 1.0 + WIDTH_JITTER * (2.0 * rng.random() - 1.0)
         if label is SpikeClass.SS:
@@ -147,15 +150,20 @@ def generate_recording(
         annotations.append(EventRecord(tick, label))
 
     # Baseline: constant offset, slow sinusoid, bounded random walk.
+    # Parameters that overflow a float here leave a non-finite sample, which
+    # is refused before it is rounded.
     t = np.arange(n) / fs
     phase = rng.uniform(0.0, 2.0 * math.pi)
-    signal += params.offset
-    signal += params.drift_amplitude * np.sin(2.0 * math.pi * t / params.drift_period_s + phase)
-    if params.drift_amplitude > 0:
-        walk = np.cumsum(rng.standard_normal(n)) * (params.drift_amplitude / math.sqrt(n))
-        signal += walk
-    if params.noise_sigma > 0:
-        signal += rng.normal(0.0, params.noise_sigma, size=n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal += params.offset
+        signal += params.drift_amplitude * np.sin(2.0 * math.pi * t / params.drift_period_s + phase)
+        if params.drift_amplitude > 0:
+            walk = np.cumsum(rng.standard_normal(n)) * (params.drift_amplitude / math.sqrt(n))
+            signal += walk
+        if params.noise_sigma > 0:
+            signal += rng.normal(0.0, params.noise_sigma, size=n)
+    if not np.isfinite(signal).all():
+        raise ValidationError("synthesis: offset, drift and noise give a non-finite signal")
 
     samples = np.clip(np.rint(signal), cfg.adc_min, cfg.adc_max).astype(np.int16)
 

@@ -1,7 +1,11 @@
-"""Tick-and-class streams: the row type, the packed event word, the event log, the CSV rows.
+"""Tick-and-class streams: row type, spacing rule, packed event word, event log, CSV rows.
 
 An EventRecord is a classified detection or a ground-truth spike; one
 writer renders a stream of either as CSV rows under its format's header.
+One greedy scan, spaced_positions, spaces ticks apart: the device honors a
+detection only outside the busy period of the last one honored, and the
+synthesizer plants a spike only a minimum interval after the last one
+planted.
 
 A stored event is one little-endian 32-bit word: bit 31 carries the class
 (1 = CS, 0 = SS) and bits 30..0 carry the detection timestamp in sample
@@ -60,6 +64,25 @@ def check_ticks(ticks) -> None:
     for kind in set(map(type, ticks)):
         if kind is not int and not issubclass(kind, np.integer):
             raise ValidationError(f"tick must be an integer, got {kind.__name__}")
+
+
+def spaced_positions(ticks: np.ndarray, gap: int) -> np.ndarray:
+    """Positions of the ticks a greedy scan keeps, each at least gap past the last one kept.
+
+    ticks is a non-decreasing int64 array, repeats allowed; gap is at least
+    1, and ticks + gap must fit in int64.  hop[i] is the first tick at or
+    past tick i + gap.  The first tick is kept (no earlier one masks it),
+    and so is every hop target, so the scan visits kept ticks only.
+    """
+    # a memoryview yields Python ints without a list of every tick
+    hop = memoryview(np.searchsorted(ticks, ticks + gap, side="left"))
+    n = len(ticks)
+    kept = []
+    i = 0
+    while i < n:
+        kept.append(i)
+        i = hop[i]
+    return np.array(kept, dtype=np.intp)
 
 
 def pack_words(events: list[EventRecord]) -> np.ndarray:

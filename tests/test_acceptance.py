@@ -304,9 +304,9 @@ def test_08_resource_model(capsys, cli_run):
     required = budget.storage_required(86400.0, 100.0)
     capacity = 32 * 2**20
     model = ResourceModel()
-    power = budget.power_breakdown(model)
+    power = budget.power_breakdown(model, RecordingConfig().sample_rate_hz)
     classifier_uw = power["classifier_w"] * 1e6
-    days = budget.battery_life_days(model)
+    days = budget.battery_life_days(model, power["total_w"])
 
     voltage_printed = cli_run("report")["assumptions"]["battery_voltage_v"] == 1.5
 

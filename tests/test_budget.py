@@ -3,7 +3,7 @@ import math
 import pytest
 
 from spikestage import budget
-from spikestage.config import ResourceModel
+from spikestage.config import RecordingConfig, ResourceModel
 from spikestage.errors import ValidationError
 
 
@@ -29,9 +29,12 @@ def test_capacity_duration():
             budget.capacity_duration_s(model)
 
 
+RATE = RecordingConfig().sample_rate_hz
+
+
 def test_power_breakdown_reference_numbers():
     model = ResourceModel()
-    p = budget.power_breakdown(model)
+    p = budget.power_breakdown(model, RATE)
     assert math.isclose(p["adc_w"], 24414.0 * 0.5e-12, rel_tol=1e-12)
     assert math.isclose(p["detector_w"], 24414.0 * 4.46e-9, rel_tol=1e-12)
     assert math.isclose(p["classifier_w"], 3.11e-5, rel_tol=1e-12)
@@ -39,23 +42,29 @@ def test_power_breakdown_reference_numbers():
     assert math.isclose(p["storage_w"], 2.8e-8, rel_tol=1e-12)
     assert p["total_w"] == p["adc_w"] + p["detector_w"] + p["classifier_w"] + p["storage_w"]
     assert math.isclose(p["total_w"], 1.40026647e-4, rel_tol=1e-6)
-    assert budget.power_breakdown(model)["total_w"] == p["total_w"]
+    assert budget.power_breakdown(model, RATE)["total_w"] == p["total_w"]
+    # the ADC and the per-sample detector scale with the recording's rate, nothing else does
+    fast = budget.power_breakdown(model, 2 * RATE)
+    assert fast["adc_w"] == 2 * p["adc_w"] and fast["detector_w"] == 2 * p["detector_w"]
+    assert (fast["classifier_w"], fast["storage_w"]) == (p["classifier_w"], p["storage_w"])
 
 
 def test_detector_energy_basis():
     per_event = ResourceModel(detector_energy_basis="per_event")
-    p = budget.power_breakdown(per_event)
+    p = budget.power_breakdown(per_event, RATE)
     assert math.isclose(p["detector_w"], 100.0 * 4.46e-9, rel_tol=1e-12)
-    assert p["detector_w"] < budget.power_breakdown(ResourceModel())["detector_w"]
+    assert p["detector_w"] < budget.power_breakdown(ResourceModel(), RATE)["detector_w"]
+    assert budget.power_breakdown(per_event, 2 * RATE)["detector_w"] == p["detector_w"]
     with pytest.raises(ValidationError):
         ResourceModel(detector_energy_basis="per_hour")
 
 
 def test_battery_life():
     model = ResourceModel()
-    days = budget.battery_life_days(model)
+    total_w = budget.power_breakdown(model, RATE)["total_w"]
+    days = budget.battery_life_days(model, total_w)
     energy_j = 12.0 / 1000.0 * 3600.0 * 1.5
-    expected = energy_j / budget.power_breakdown(model)["total_w"] / 86400.0
+    expected = energy_j / total_w / 86400.0
     assert math.isclose(days, expected, rel_tol=1e-12)
     assert math.isclose(days, 5.356, rel_tol=1e-3)
     assert 3.0 < days < 6.0
@@ -63,7 +72,7 @@ def test_battery_life():
         e_detect_nj=0.0, e_classify_nj=0.0, e_store_nj=0.0, e_adc_pj=0.0
     )
     with pytest.raises(ValidationError):
-        budget.battery_life_days(dead)
+        budget.battery_life_days(dead, budget.power_breakdown(dead, RATE)["total_w"])
 
 
 def test_resource_model_validation():

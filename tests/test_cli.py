@@ -260,6 +260,78 @@ def test_detect_bytes_are_pinned(cli_run, tmp_path):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DETECT_SHA256
 
 
+# sha256 of the recording and annotation files of 2 s seed-3 `generate` runs
+# under these synthesis sections, recorded while the synthesizer still thinned
+# spikes with a loop of its own; a 1e300 ms interval plants one spike
+GENERATE_SHA256 = {
+    "default": (
+        {},
+        "4e7f2aaaf29403115c41e7b72ce861766ed75f0043bcd7a328a6dd9df3f5d0d0",
+        "2e0066d98b6e49c3e77aab54520072d2d1c3247aba9bf57ba1b66732fb77257c",
+    ),
+    "dense": (
+        {"ss_rate_hz": 400, "cs_rate_hz": 20, "min_interval_ms": 2, "noise_sigma": 15},
+        "51c7a7d37ea5e2581c1d4085e358966e2fc3bcbc48a28ca596e87478d79ce14f",
+        "3e8f863e852c46da1063bbc535f239ce8a641e1bcbc5e685916901e640acf9ae",
+    ),
+    "sparse": (
+        {"ss_rate_hz": 5, "cs_rate_hz": 0.5},
+        "2aadff9463a05daa912408b211e36e0c150e9c302f8b4814e2df130aca9b2539",
+        "f2aa91a224d16a3388159ebb4a828d05fbe20b008346791df85d206d4fd78bc6",
+    ),
+    "short_interval": (
+        {"min_interval_ms": 0.01},
+        "b2e37177da8238743eac5f68244d157e2d26cb945b34493b4865fa926be7f0e4",
+        "abf822d0c826b921fe1893ce5891b45ab2e715f76fa4c5c388a2c2e68602af9f",
+    ),
+    "one_spike": (
+        {"min_interval_ms": 1e300},
+        "03f60de6b34cab84fe9f41c28e94c4f4d73683feea8d0a9922b0d9d903efeb8a",
+        "279a25124ecf9a109096521784cc93b805af176d3e54fa7ae0af16af4f99a008",
+    ),
+}
+
+
+def test_generate_bytes_are_pinned(cli_run, tmp_path):
+    cfg, rec, ann = tmp_path / "c.json", tmp_path / "r.spkr", tmp_path / "r.csv"
+    for name, (synthesis, rec_sha, ann_sha) in GENERATE_SHA256.items():
+        cfg.write_text(json.dumps({"synthesis": synthesis}))
+        rep = cli_run(
+            "generate", "--out", rec, "--annotations", ann, "--seed", 3, "--duration-s", 2,
+            "--config", cfg,
+        )
+        assert hashlib.sha256(rec.read_bytes()).hexdigest() == rec_sha, name
+        assert hashlib.sha256(ann.read_bytes()).hexdigest() == ann_sha, name
+    assert rep["annotations"] == 1
+
+
+def test_generate_plants_spikes_a_tick_apart_at_least(cli_run, tmp_path):
+    # 5e-324 ms at 100 Hz rounds to a gap of 0 ticks, where two spikes could share an onset
+    cfg, rec, ann = tmp_path / "c.json", tmp_path / "r.spkr", tmp_path / "r.csv"
+    doc = {"recording": {"sample_rate_hz": 100}, "synthesis": {"min_interval_ms": 5e-324}}
+    cfg.write_text(json.dumps(doc))
+    generate = ("generate", "--out", rec, "--annotations", ann, "--duration-s", 10)
+    rep = cli_run(*generate, "--config", cfg)
+    ticks = [a.timestamp for a in signal.read_annotations(ann)]  # strictly increasing, or refused
+    assert len(ticks) == rep["annotations"] > 100
+
+
+# a subnormal drift period overflows t / period, and huge drift and noise
+# overflow their sums: each would leave NaN or infinite samples to round
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "synthesis",
+    [{"drift_period_s": 1e-320}, {"drift_amplitude": 1e308, "noise_sigma": 1e308}],
+    ids=["subnormal_drift_period", "huge_drift_and_noise"],
+)
+def test_generate_refuses_a_non_finite_signal_exit_1(cli_run, tmp_path, synthesis):
+    cfg, rec, ann = tmp_path / "c.json", tmp_path / "r.spkr", tmp_path / "r.csv"
+    cfg.write_text(json.dumps({"synthesis": synthesis}))
+    generate = ("generate", "--out", rec, "--annotations", ann, "--duration-s", 1)
+    cli_run(*generate, "--config", cfg, code=1, blame="synthesis")
+    assert not rec.exists() and not ann.exists()
+
+
 def test_dse_table_and_infeasible_floor(cli_run, tmp_path):
     ds_path = tmp_path / "tiny.jsonl"
     tr.save_dataset(ds_path, make_cluster_dataset())
@@ -435,6 +507,30 @@ def test_report_bytes_are_pinned(tmp_path):
         with contextlib.redirect_stdout(out):
             assert cli.main(argv) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == REPORT_SHA256[name], name
+
+
+# sha256 of `report` stdout at 30 kHz with the defaults and with --duration-s
+# 86400, printed when the rate was still set as resources.sample_rate_hz
+REPORT_30KHZ_SHA256 = {
+    "default": "a6e967ec394745f083c4b44205306af5d61f03cd3d717e1ca7fce77ff497530e",
+    "day": "c439cd11c818cd4a03640bdee37a714f85df1a278520a760be9f0cbe0a9b6aa0",
+}
+
+
+def test_report_budgets_at_the_recording_rate(cli_run, tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"recording": {"sample_rate_hz": 30000}}))
+    for name, extra in (("default", []), ("day", ["--duration-s", "86400"])):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["report", "--config", str(cfg), *extra]) == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == REPORT_30KHZ_SHA256[name], name
+    # the recording's rate is the only one: the budget has no second copy to set
+    cfg.write_text(json.dumps({"resources": {"sample_rate_hz": 30000}}))
+    cli_run("report", "--config", cfg, code=1, blame="unknown keys: ['sample_rate_hz']")
+    resources = cli_run("--help").split("  resources:\n")[1].split("  postprocess:\n")[0]
+    assert "e_adc_pj" in resources and "sample_rate_hz" not in resources
 
 
 def test_light_commands_run_without_scipy(tmp_path):

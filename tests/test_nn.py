@@ -271,6 +271,7 @@ def test_load_rejects_malformed(tmp_path):
         ("float", dict(flt, biases=[0.0, float("-inf"), 0.0])),
         ("float", dict(flt, weights=[[0.5] * 6, [0.5] * 6, [0.5] * 5])),
     ):
+        path.unlink()  # a new file: overwriting one flushes it on ext4
         path.write_text(json.dumps({"version": 1, "kind": kind, "topology": [6, 3], "layers": [entry]}))
         with pytest.raises(FormatError):
             nn.load_model(path)

@@ -368,21 +368,6 @@ def test_inference_memory_is_int32_per_capture():
     assert peak <= 600 * len(waveforms)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    # a drawn upper bound varies the density, from runs of adjacent ticks to sparse ones
-    st.integers(0, 5000).flatmap(
-        lambda hi: st.lists(st.integers(0, hi), unique=True, max_size=300).map(sorted)
-    ),
-    st.integers(1, 100),
-)
-def test_honored_scan_matches_loop(ticks, busy):
-    candidates = np.array(ticks, dtype=np.int64)
-    honored = det._honored_detections(candidates, busy)
-    assert honored.dtype == np.int64
-    assert honored.tolist() == naive_honored(candidates, busy)
-
-
 def test_incomplete_tail_capture(trained):
     _, qmodel, _, _ = trained
     rng = np.random.default_rng(40)

@@ -10,6 +10,8 @@ from spikestage import signal, store
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
 
+from oracles import naive_honored
+
 
 def test_pack_examples():
     events = [
@@ -254,3 +256,25 @@ def test_events_csv_roundtrip(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["timestamp", "class"], ["100", "SS"], ["250", "CS"], ["400", "F"]]
+
+
+def sorted_ticks(unique: bool):
+    # a drawn upper bound varies the density, from runs of adjacent ticks to sparse ones
+    return st.integers(0, 5000).flatmap(
+        lambda hi: st.lists(st.integers(0, hi), unique=unique, max_size=300).map(sorted)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # the detector's candidates never repeat; the synthesizer's spike ticks may
+    st.one_of(sorted_ticks(unique=True), sorted_ticks(unique=False)),
+    st.integers(1, 100),
+)
+def test_spacing_scan_matches_loop(ticks, gap):
+    ticks = np.array(ticks, dtype=np.int64)
+    kept = store.spaced_positions(ticks, gap)
+    assert ticks[kept].tolist() == naive_honored(ticks, gap)
+    # of repeated ticks, the first is the one kept
+    assert np.array_equal(np.searchsorted(ticks, ticks[kept], side="left"), kept)
+

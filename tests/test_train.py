@@ -176,6 +176,7 @@ def test_load_dataset_rejects_malformed(tmp_path):
         {"tick": None},
         {"tick": 2**63},
     ):
+        path.unlink()  # a new file: overwriting one flushes it on ext4
         path.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40, **bad}) + "\n")
         with pytest.raises(FormatError):
             tr.load_dataset(path)
@@ -568,6 +569,7 @@ EVERY_CODE = tr.Dataset(
 @example(ds=EVERY_CODE[:4])
 def test_dataset_file_is_json_dumps_form(tmp_path_factory, ds):
     path = tmp_path_factory.getbasetemp() / "drawn.jsonl"
+    path.unlink(missing_ok=True)  # a new file: overwriting one flushes it on ext4
     tr.save_dataset(path, ds)
     expected = dataset_jsonl(ds)
     assert path.read_bytes() == expected
