@@ -23,15 +23,14 @@ Recording file layout (little endian):
     16      2*n   samples, int16
 
 Annotations travel separately as CSV with header ``sample_index,label``,
-rows sorted by sample index, indices non-negative integers, labels ``SS``
-or ``CS``.  write_annotations checks them and leaves the rows to
+rows sorted by sample index, indices ASCII integers from 0 to MAX_TIMESTAMP,
+labels ``SS`` or ``CS``.  write_annotations checks them and leaves the rows to
 store.write_events_csv, the one writer of tick-and-class CSV rows.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import stat
@@ -233,29 +232,9 @@ def write_annotations(path, annotations: list[EventRecord]) -> None:
                 raise ValidationError(f"sample index must be non-negative, got {ann.timestamp}")
             raise ValidationError("annotations must be strictly increasing by sample index")
         prev = ann.timestamp
+    if prev > MAX_TIMESTAMP:  # the last tick generate writes, run accepts and an event log holds
+        raise ValidationError(f"sample index past {MAX_TIMESTAMP}, the last tick of a recording")
     write_events_csv(path, annotations, _ANNOTATIONS_HEADER)
-
-
-def read_form_or_lines(path, line_form, bulk, per_line):
-    """Read a text file in bulk when every line is in one writer's form, else line by line.
-
-    `line_form` is a compiled bytes pattern for one whole line in the form
-    its writer produces: anchored with `(?m)^`, holding no newline before
-    the one it ends with, and linear in time on any input.  When the file
-    ends in a newline and `line_form.findall` finds one match per line, the
-    result is `bulk(data, found)`: the file's bytes and those matches.  Any
-    other file, valid in another form or not valid at all, reads as
-    `per_line(path, lines)` over the same bytes, a binary file's lines, so
-    its result and its error messages are the line reader's.  The file is
-    read once either way, so a pipe reads too.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    found = line_form.findall(data)
-    if data.endswith(b"\n") and len(found) == data.count(b"\n"):
-        return bulk(data, found)
-    del found
-    return per_line(path, io.BytesIO(data))
 
 
 _ANNOTATION_LABELS = {SpikeClass.SS.name: SpikeClass.SS, SpikeClass.CS.name: SpikeClass.CS}
@@ -276,10 +255,13 @@ def read_annotations(path) -> list[EventRecord]:
             for row in reader:
                 if len(row) != 2:
                     raise FormatError(f"{path}: malformed row {row!r}")
-                try:
-                    index = int(row[0])
+                text = row[0]
+                try:  # int() alone also reads "1_0", " +2" and non-ASCII digits
+                    if not (text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit())):
+                        raise ValueError("not the writer's form")
+                    index = int(text)
                 except ValueError as exc:
-                    raise FormatError(f"{path}: bad sample index {row[0]!r}") from exc
+                    raise FormatError(f"{path}: bad sample index {text!r}") from exc
                 label = labels.get(row[1])
                 if label is None:
                     raise FormatError(f"{path}: unknown label {row[1]!r}")
@@ -291,4 +273,6 @@ def read_annotations(path) -> list[EventRecord]:
                 append(EventRecord(index, label))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: unreadable annotations CSV ({exc})") from exc
+    if annotations and annotations[-1].timestamp > MAX_TIMESTAMP:  # the last index is the largest
+        raise FormatError(f"{path}: sample index past {MAX_TIMESTAMP}, the last tick of a recording")
     return annotations

@@ -19,9 +19,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import io
 import json
 import math
 import re
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -47,7 +49,6 @@ from .nn import (
     layer_outputs,
     quantize,
 )
-from .signal import read_form_or_lines
 from .store import EventRecord
 
 
@@ -194,18 +195,9 @@ _LABEL_TEXT = _text_table([klass.name.encode() for klass in SpikeClass])
 _TICK_WIDTH = 20  # len(str(-2**63))
 _BLOCK_ROWS = 1024  # rows rendered at a time, so the writer's peak does not grow
 
-# One line in exactly the form save_dataset writes, its label captured.  The
-# reader matches it at every line start of arbitrary input, so it must take
-# linear time: each token has one way to match each length (no nested or
-# adjacent optional digits).  Codes are int8 and ticks at most 18 digits, so
-# a line in this form always holds an int64 tick and int8 codes.
-_CODE_FORM = rb"(?:0|-?[1-9][0-9]?|-?1[01][0-9]|-?12[0-7]|-128)"
-_DATASET_LINE = re.compile(
-    rb'(?m)^\{"tick": (?:0|-?[1-9][0-9]{0,17}), "label": "('
-    + b"|".join(klass.name.encode() for klass in SpikeClass)
-    + rb')", "waveform": \[(?:' + _CODE_FORM + rb", ){%d}" % (WAVEFORM_SAMPLES - 1)
-    + _CODE_FORM + rb"\]\}\n"
-)
+# The label of a line, its one field that is not a number, and its class
+_LABEL_CODES = {klass.name.encode(): int(klass) for klass in SpikeClass}
+_LABEL_FIELD = re.compile(rb'"label": "(' + b"|".join(_LABEL_CODES) + rb')"')
 # bytes.translate table that blanks everything but the numbers of a line
 _NUMBER_BYTES = bytes(c if chr(c) in "-0123456789" else ord(" ") for c in range(256))
 _BLOCK_BYTES = 1 << 18  # file bytes parsed at a time, so the reader's peak stays near the file size
@@ -242,25 +234,47 @@ def save_dataset(path, dataset: Dataset) -> None:
             fh.write(_dataset_text(dataset[start : start + _BLOCK_ROWS]))
 
 
-def _dataset_columns(data: bytes, labels: list[bytes]) -> Dataset:
-    """The dataset in a file whose every line is in _DATASET_LINE, parsed a block at a time."""
-    codes = {klass.name.encode(): int(klass) for klass in SpikeClass}
-    ticks = np.empty(len(labels), np.int64)
-    waveforms = np.empty((len(labels), WAVEFORM_SAMPLES), np.int8)
+def _dataset_in_bulk(data: bytes) -> Dataset:
+    """The dataset that save_dataset writes as `data`, parsed a block at a time; else ValueError."""
+    n = data.count(b"\n")
+    # a line holds 41 numbers of a digit and a separator at least: checked before sizing by lines
+    if not data.endswith(b"\n") or len(data) < n * 2 * (1 + WAVEFORM_SAMPLES):
+        raise ValueError("not in save_dataset's form")
+    dataset = Dataset(
+        np.empty((n, WAVEFORM_SAMPLES), np.int8), np.empty(n, np.int64), np.empty(n, np.int64)
+    )
     row = start = 0
     while start < len(data):
         end = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
-        text = data[start:end].translate(_NUMBER_BYTES)
-        block = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 1 + WAVEFORM_SAMPLES)
-        ticks[row : row + len(block)] = block[:, 0]
-        waveforms[row : row + len(block)] = block[:, 1:]
-        row, start = row + len(block), end
-    return Dataset(waveforms, [codes[label] for label in labels], ticks)
+        block = data[start:end]
+        labels = _LABEL_FIELD.findall(block)
+        numbers = np.fromstring(block.translate(_NUMBER_BYTES), dtype=np.int64, sep=" ")
+        if len(labels) != block.count(b"\n") or numbers.size != len(labels) * (1 + WAVEFORM_SAMPLES):
+            raise ValueError("not in save_dataset's form")
+        rows = dataset[row : row + len(labels)]  # views of the dataset's columns
+        numbers = numbers.reshape(len(labels), 1 + WAVEFORM_SAMPLES)
+        rows.ticks[:], rows.waveforms[:] = numbers[:, 0], numbers[:, 1:]
+        rows.labels[:] = list(map(_LABEL_CODES.__getitem__, labels))
+        if _dataset_text(rows) != block:  # also refuses a code or tick the parse wrapped or clamped
+            raise ValueError("not in save_dataset's form")
+        row, start = row + len(labels), end
+    return dataset
 
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset file: save_dataset's own form in bulk, any other through load_dataset_lines."""
-    return read_form_or_lines(path, _DATASET_LINE, _dataset_columns, load_dataset_lines)
+    """Read a dataset file: in bulk when save_dataset would write its bytes, else line by line.
+
+    Any other file, valid or not, reads through load_dataset_lines over the
+    same bytes, read once so that a pipe reads too: its result and its
+    error messages are the line reader's.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # np.fromstring raises on text such as "1-2" in numpy 2, and warns in numpy 1.x
+    with warnings.catch_warnings(), contextlib.suppress(ValueError, DeprecationWarning):
+        warnings.simplefilter("error", DeprecationWarning)
+        return _dataset_in_bulk(data)
+    return load_dataset_lines(path, io.BytesIO(data))
 
 
 def load_dataset_lines(path, lines) -> Dataset:

@@ -756,6 +756,30 @@ def test_negative_annotation_index_exits_2(cli_run, model_files):
         cli_run(*argv, code=2, blame="ann.csv: sample index must be non-negative, got -5")
 
 
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        ("1_0", "bad sample index '1_0'"),
+        (" +20 ", "bad sample index ' +20 '"),
+        ("\u0663\u0660", "bad sample index '\u0663\u0660'"),  # Arabic-Indic 30
+        ("2147483648", "sample index past 2147483647"),
+        ("1" + "0" * 400, "sample index past 2147483647"),
+    ],
+    ids=["underscore", "plus-and-spaces", "arabic-indic", "2**31", "401-digits"],
+)
+def test_annotation_index_outside_the_writers_form_exits_2(cli_run, model_files, index, message):
+    # int() alone reads the first three as 10, 20 and 30; no recording holds
+    # the last two ticks, and the 401-digit one overflowed a float cast
+    root = model_files
+    ann = root / "ann.csv"
+    ann.write_text(f"sample_index,label\n5,SS\n{index},CS\n", encoding="utf-8")
+    store.write_event_log(root / "e.spkevt", [store.EventRecord(100, SpikeClass.SS)], 24414.0)
+    metrics = ("metrics", "--events", root / "e.spkevt", "--annotations", ann)
+    build = ("build-dataset", "--in", root / "r.spkr", "--annotations", ann, "--out", root / "d")
+    for argv in (metrics, build):
+        cli_run(*argv, code=2, blame=f"ann.csv: {message}")
+
+
 def test_negative_seeds_exit_1(cli_run, tmp_path):
     ds = tmp_path / "ds.jsonl"
     ds.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40}) + "\n")

@@ -10,6 +10,7 @@ a new file costs far less.
 """
 
 import json
+import re
 import time
 
 import numpy as np
@@ -150,6 +151,25 @@ def test_mutated_dataset_reads_as_the_line_reader_reads_it(tmp_path_factory, val
     path = tmp_path_factory.getbasetemp() / "mutated_dataset_lines"
     path.unlink(missing_ok=True)
     path.write_bytes(mutate(valid_files["dataset"], mutations))
+    assert dataset_or_error(tr.load_dataset, path) == dataset_or_error(read_lines, path)
+
+
+# A code that int8 wraps to -56 and a tick that int64 clamps: a bulk parse
+# that did not render its rows back to the file's bytes would misread both
+CRAFTED_DATASETS = {
+    "code-200": lambda data: re.sub(rb"\[-?[0-9]+", b"[200", data, count=1),
+    "20-digit-tick": lambda data: data.replace(b'"tick": 5,', b'"tick": 99999999999999999999,'),
+    "stray-byte": lambda data: mutate(data, STRAY_BYTE_DATASET[1]),
+    "no-final-newline": lambda data: data[:-1],
+}
+
+
+@pytest.mark.parametrize("craft", CRAFTED_DATASETS.values(), ids=CRAFTED_DATASETS)
+def test_crafted_dataset_reads_as_the_line_reader_reads_it(tmp_path, valid_files, craft):
+    data = craft(valid_files["dataset"])
+    assert data != valid_files["dataset"]
+    path = tmp_path / "crafted.jsonl"
+    path.write_bytes(data)
     assert dataset_or_error(tr.load_dataset, path) == dataset_or_error(read_lines, path)
 
 

@@ -11,7 +11,7 @@ from spikestage import signal
 from spikestage.config import RecordingConfig, SynthesisParams
 from spikestage.errors import FormatError, ValidationError
 from spikestage.nn import SpikeClass
-from spikestage.store import EventRecord
+from spikestage.store import MAX_TIMESTAMP, EventRecord
 
 
 def test_recording_roundtrip(tmp_path, recording):
@@ -90,6 +90,21 @@ def test_annotations_reject_negative_index(tmp_path):
     for text in ("sample_index,label\n-5,SS\n", "sample_index,label\n4,SS\n-5,CS\n"):
         path.write_text(text)
         with pytest.raises(FormatError, match="sample index must be non-negative, got -5"):
+            signal.read_annotations(path)
+
+
+def test_annotations_reject_index_past_the_last_tick(tmp_path):
+    path = tmp_path / "ann.csv"
+    last = [EventRecord(MAX_TIMESTAMP, SpikeClass.CS)]
+    signal.write_annotations(path, last)
+    assert signal.read_annotations(path) == last
+    path.unlink()
+    with pytest.raises(ValidationError, match="sample index past 2147483647"):
+        signal.write_annotations(path, [EventRecord(5, SpikeClass.SS), EventRecord(2**31, SpikeClass.SS)])
+    assert not path.exists()
+    for index in ("2147483648", "1" + "0" * 400):
+        path.write_text(f"sample_index,label\n5,SS\n{index},CS\n")
+        with pytest.raises(FormatError, match="sample index past 2147483647"):
             signal.read_annotations(path)
 
 

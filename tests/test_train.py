@@ -536,8 +536,8 @@ def test_dataset_bytes_are_pinned(tmp_path, dataset):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_DATASET_SHA256
 
 
-# the tick widths at the edges of the bulk reader's form: at most 18 digits
-# read in bulk, 19 digits and int64's ends through the per-line reader
+# ticks of every width that int64 holds, all read in bulk: up to 18 digits,
+# 19 digits and int64's ends
 SHORT_TICKS = (0, 10**18 - 1, -(10**18 - 1))
 LONG_TICKS = (10**18, -(2**63), 2**63 - 1)
 
@@ -574,10 +574,8 @@ def test_dataset_file_is_json_dumps_form(tmp_path_factory, ds):
     expected = dataset_jsonl(ds)
     assert path.read_bytes() == expected
     rows = [json.loads(line) for line in expected.splitlines()]
-    bulk = all(len(str(abs(tick))) <= 18 for tick in ds.ticks.tolist())
-    with pytest.MonkeyPatch.context() as mp:
-        if bulk:  # and it must take the bulk path
-            mp.setattr(tr.json, "loads", refuse_json)
+    with pytest.MonkeyPatch.context() as mp:  # and it must take the bulk path
+        mp.setattr(tr.json, "loads", refuse_json)
         loaded = tr.load_dataset(path)
     assert loaded.ticks.tolist() == [row["tick"] for row in rows]
     assert loaded.labels.tolist() == [SpikeClass[row["label"]] for row in rows]
