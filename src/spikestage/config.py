@@ -16,7 +16,7 @@ import math
 import typing
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, shown
 
 
 @functools.cache
@@ -44,7 +44,7 @@ def _check_value(name: str, value, hint) -> None:
         if isinstance(value, tuple) and entry_hints[-1] is Ellipsis:  # tuple[X, ...]: any length
             entry_hints = entry_hints[:1] * len(value)
         if not isinstance(value, tuple) or len(value) != len(entry_hints):
-            raise ValidationError(f"{name} must be {hint}, not {value!r}")
+            raise ValidationError(f"{name} must be {hint}, not {shown(value)}")
         for entry, entry_hint in zip(value, entry_hints):
             _check_value(name, entry, entry_hint)
         return
@@ -53,14 +53,14 @@ def _check_value(name: str, value, hint) -> None:
         allowed += (int,)
     if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
         names = " or ".join("None" if t is type(None) else t.__name__ for t in allowed)
-        raise ValidationError(f"{name} must be {names}, not {value!r}")
+        raise ValidationError(f"{name} must be {names}, not {shown(value)}")
     if float in allowed and value is not None:
         try:
             finite = math.isfinite(value)  # converts an int to float
         except OverflowError:
             raise ValidationError(f"{name} must be finite, not an int beyond the float range") from None
         if not finite:
-            raise ValidationError(f"{name} must be finite, not {value!r}")
+            raise ValidationError(f"{name} must be finite, not {shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ class ResourceModel:
     def __post_init__(self):
         _check_fields(self)
         if self.detector_energy_basis not in ("per_sample", "per_event"):
-            raise ValidationError(f"unknown detector_energy_basis {self.detector_energy_basis!r}")
+            raise ValidationError(f"unknown detector_energy_basis {shown(self.detector_energy_basis)}")
         for name, hint in _field_types(ResourceModel).items():
             if hint in (float, int) and getattr(self, name) < 0:  # every figure but the basis
                 raise ValidationError(f"{name} must be non-negative")
@@ -279,7 +279,7 @@ def load_config(path=None) -> AppConfig:
         raise ValidationError(f"{path}: config root must be a JSON object")
     unknown = set(doc) - set(_SECTIONS)
     if unknown:
-        raise ValidationError(f"config has unknown sections: {sorted(unknown)}")
+        raise ValidationError(f"config has unknown sections: {shown(sorted(unknown))}")
     sections = {}
     for name, cls in _SECTIONS.items():
         body = doc.get(name, {})
@@ -287,7 +287,7 @@ def load_config(path=None) -> AppConfig:
             raise ValidationError(f"config section '{name}' must be a JSON object")
         unknown = set(body) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
-            raise ValidationError(f"config section '{name}' has unknown keys: {sorted(unknown)}")
+            raise ValidationError(f"config section '{name}' has unknown keys: {shown(sorted(unknown))}")
         try:
             sections[name] = cls(**{key: _tuples(value) for key, value in body.items()})
         except ValidationError as exc:

@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, shown
 
 WAVEFORM_SAMPLES = 40
 NUM_CLASSES = 3
@@ -79,7 +79,7 @@ class Layer:
         if self.biases.shape != (self.weights.shape[0],):
             raise ValidationError("bias length must match output size")
         if self.activation not in ("relu", "linear"):
-            raise ValidationError(f"unknown activation {self.activation!r}")
+            raise ValidationError(f"unknown activation {shown(self.activation)}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -111,7 +111,7 @@ class QuantizedLayer:
         if np.any(128 * np.abs(w).sum(axis=1) + np.abs(b) > INT32_MAX):
             raise ValidationError("worst-case accumulator over int8 inputs exceeds int32")
         if self.activation not in ("relu", "linear"):
-            raise ValidationError(f"unknown activation {self.activation!r}")
+            raise ValidationError(f"unknown activation {shown(self.activation)}")
         scales = (self.input_scale, self.weight_scale, self.output_scale)
         if not all(0 < s < math.inf for s in scales):  # NaN fails too
             raise ValidationError("scales must be positive and finite")
@@ -316,10 +316,10 @@ def load_model(path) -> MlpModel | QuantizedMlpModel:
     # header numbers must be JSON integers: == alone takes true and 1.0 for 1
     version = doc.get("version")
     if type(version) is not int or version != MODEL_FILE_VERSION:
-        raise FormatError(f"{path}: unsupported model file version {version!r}")
+        raise FormatError(f"{path}: unsupported model file version {shown(version)}")
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in _CODECS:
-        raise FormatError(f"{path}: unknown model kind {kind!r}")
+        raise FormatError(f"{path}: unknown model kind {shown(kind)}")
     model_cls, layer_cls, fields = _CODECS[kind]
     try:
         model = model_cls(

@@ -22,10 +22,10 @@ Recording file layout (little endian):
     8       8     sample_rate_hz, IEEE-754 double
     16      2*n   samples, int16
 
-Annotations travel separately as CSV with header ``sample_index,label``,
-rows sorted by sample index, indices ASCII integers from 0 to MAX_TIMESTAMP,
-labels ``SS`` or ``CS``.  write_annotations checks them and leaves the rows to
-store.write_events_csv, the one writer of tick-and-class CSV rows.
+Annotations travel separately as CSV with header ``sample_index,label``:
+indices in ASCII digits, labels ``SS`` or ``CS``.  write_annotations and
+read_annotations check the stream by store.check_stream, the one rule of a
+stored stream, and store.write_events_csv writes the rows.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ import struct
 import numpy as np
 
 from .config import RecordingConfig, SynthesisParams
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, shown
 from .nn import SpikeClass
-from .store import MAX_TIMESTAMP, EventRecord, check_ticks, spaced_positions, write_events_csv
+from .store import MAX_TIMESTAMP, EventRecord, check_stream, spaced_positions, write_events_csv
 
 RECORDING_MAGIC = b"SPKR"
 RECORDING_VERSION = 1
@@ -222,18 +222,7 @@ def read_recording(path) -> tuple[np.ndarray, RecordingConfig]:
 
 
 def write_annotations(path, annotations: list[EventRecord]) -> None:
-    check_ticks(ann.timestamp for ann in annotations)
-    prev = -1
-    for ann in annotations:
-        if ann.klass not in (SpikeClass.SS, SpikeClass.CS):
-            raise ValidationError(f"annotation label must be SS or CS, got {ann.klass.name}")
-        if ann.timestamp <= prev:  # prev starts at -1, so a negative index lands here
-            if ann.timestamp < 0:
-                raise ValidationError(f"sample index must be non-negative, got {ann.timestamp}")
-            raise ValidationError("annotations must be strictly increasing by sample index")
-        prev = ann.timestamp
-    if prev > MAX_TIMESTAMP:  # the last tick generate writes, run accepts and an event log holds
-        raise ValidationError(f"sample index past {MAX_TIMESTAMP}, the last tick of a recording")
+    check_stream([ann.timestamp for ann in annotations], [ann.klass for ann in annotations])
     write_events_csv(path, annotations, _ANNOTATIONS_HEADER)
 
 
@@ -241,38 +230,34 @@ _ANNOTATION_LABELS = {SpikeClass.SS.name: SpikeClass.SS, SpikeClass.CS.name: Spi
 
 
 def read_annotations(path) -> list[EventRecord]:
-    annotations: list[EventRecord] = []
-    append = annotations.append
+    ticks: list[int] = []
+    klasses: list[SpikeClass] = []
+    add_tick, add_class = ticks.append, klasses.append
     labels = _ANNOTATION_LABELS
     # the reader decodes and splits lazily, so both errors surface in the loop
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != _ANNOTATIONS_HEADER:
+            if next(reader, None) != _ANNOTATIONS_HEADER:
                 raise FormatError(f"{path}: expected header sample_index,label")
-            prev = -1
             for row in reader:
-                if len(row) != 2:
-                    raise FormatError(f"{path}: malformed row {row!r}")
-                text = row[0]
+                try:
+                    text, name = row
+                except ValueError:
+                    raise FormatError(f"{path}: malformed row {shown(row)}") from None
                 try:  # int() alone also reads "1_0", " +2" and non-ASCII digits
                     if not (text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit())):
                         raise ValueError("not the writer's form")
-                    index = int(text)
+                    add_tick(int(text))
                 except ValueError as exc:
-                    raise FormatError(f"{path}: bad sample index {text!r}") from exc
-                label = labels.get(row[1])
-                if label is None:
-                    raise FormatError(f"{path}: unknown label {row[1]!r}")
-                if index <= prev:  # prev starts at -1, so a negative index lands here
-                    if index < 0:
-                        raise FormatError(f"{path}: sample index must be non-negative, got {index}")
-                    raise FormatError(f"{path}: sample indices must be strictly increasing")
-                prev = index
-                append(EventRecord(index, label))
+                    raise FormatError(f"{path}: bad sample index {shown(text)}") from exc
+                try:
+                    add_class(labels[name])
+                except KeyError:
+                    raise FormatError(f"{path}: unknown label {shown(name)}") from None
+        check_stream(ticks, klasses)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: unreadable annotations CSV ({exc})") from exc
-    if annotations and annotations[-1].timestamp > MAX_TIMESTAMP:  # the last index is the largest
-        raise FormatError(f"{path}: sample index past {MAX_TIMESTAMP}, the last tick of a recording")
-    return annotations
+    except ValidationError as exc:  # the rows parse, but the stream breaks the writers' rule
+        raise FormatError(f"{path}: {exc}") from exc
+    return list(map(EventRecord, ticks, klasses))

@@ -22,9 +22,10 @@ Event log file layout (little endian):
     8       4     sample_rate_hz, u32
     12      4*n   event words, u32
 
-Timestamps must be strictly increasing; both writer and reader enforce it.
-The word size, RECORD_BYTES, lives in budget, which sizes storage with it
-and imports no numpy.
+A stored stream, event log or annotations CSV, has one rule, check_stream,
+which both writers and the annotations reader apply; the event log reader
+checks the order of its words.  The word size, RECORD_BYTES, lives in
+budget, which sizes storage with it and imports no numpy.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .budget import RECORD_BYTES
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, shown
 from .nn import SpikeClass
 
 EVENT_MAGIC = b"SPKE"
@@ -52,18 +53,6 @@ class EventRecord(NamedTuple):
 
     timestamp: int  # detection or onset tick, in sample ticks since stream start
     klass: SpikeClass  # any class, but the log stores and ground truth holds only SS and CS
-
-
-def check_ticks(ticks) -> None:
-    """Refuse any tick that is not an integer: a plain int or a numpy integer, never a bool.
-
-    Both tick-and-class writers check their ticks here, so neither stores a
-    truncated float nor writes a row its reader refuses.  One pass over the
-    ticks' types.
-    """
-    for kind in set(map(type, ticks)):
-        if kind is not int and not issubclass(kind, np.integer):
-            raise ValidationError(f"tick must be an integer, got {kind.__name__}")
 
 
 def spaced_positions(ticks: np.ndarray, gap: int) -> np.ndarray:
@@ -85,24 +74,44 @@ def spaced_positions(ticks: np.ndarray, gap: int) -> np.ndarray:
     return np.array(kept, dtype=np.intp)
 
 
-def pack_words(events: list[EventRecord]) -> np.ndarray:
-    """Encode events as u32 words; validates every event."""
-    if not events:
-        return np.empty(0, dtype=np.uint32)
-    ticks = [e.timestamp for e in events]
-    check_ticks(ticks)
+def _increasing(ts: np.ndarray) -> bool:
+    return bool(np.all(ts[1:] > ts[:-1]))
+
+
+def _checked_ticks(ticks: list, klasses: list) -> np.ndarray:
+    """The int64 ticks once every event passes check_stream's per-event rule; whole-list passes."""
+    for kind in set(map(type, ticks)):
+        if kind is not int and not issubclass(kind, np.integer):
+            raise ValidationError(f"tick must be an integer, got {kind.__name__}")
+    # identity, as 1 == SS: a SpikeClass is SS, CS or F, so its type and one F test decide
+    if set(map(type, klasses)) - {SpikeClass} or SpikeClass.F in klasses:
+        raise ValidationError("only SS and CS events can be stored")
     try:
         ts = np.array(ticks, dtype=np.int64)
-    except OverflowError:  # past int64, so past 31 bits too
-        raise ValidationError("timestamp does not fit in 31 bits") from None
-    if ts.min() < 0 or ts.max() > MAX_TIMESTAMP:
-        raise ValidationError("timestamp does not fit in 31 bits")
-    # identity, not equality: the plain int 1 is not SpikeClass.SS
-    cs, ss = SpikeClass.CS, SpikeClass.SS
-    bits = np.array([1 if e.klass is cs else 0 if e.klass is ss else 2 for e in events])
-    if bits.max() > 1:
-        raise ValidationError("only SS and CS events can be stored")
-    return ((bits << TIMESTAMP_BITS) | ts).astype(np.uint32)
+    except OverflowError:  # a tick past int64, which the range test refuses
+        ts = np.array(ticks, dtype=object)
+    if ts.size and ts.min() < 0:
+        raise ValidationError(f"sample index must be non-negative, got {shown(int(ts.min()))}")
+    if ts.size and ts.max() > MAX_TIMESTAMP:
+        raise ValidationError(f"sample index past {MAX_TIMESTAMP}, the last tick that 31 bits hold")
+    return ts
+
+
+def check_stream(ticks: list, klasses: list) -> None:
+    """Refuse with ValidationError a stream that breaks the one rule of a stored stream.
+
+    Integer ticks from 0 to MAX_TIMESTAMP, strictly increasing (range first), classes SS or CS.
+    """
+    if not _increasing(_checked_ticks(ticks, klasses)):
+        raise ValidationError("sample indices must be strictly increasing")
+
+
+def pack_words(events: list[EventRecord]) -> np.ndarray:
+    """Encode events, in any order, as u32 words; each must pass check_stream's per-event rule."""
+    klasses = [e.klass for e in events]
+    ts = _checked_ticks([e.timestamp for e in events], klasses)
+    cs = np.fromiter(klasses, np.uint32, len(klasses)) == SpikeClass.CS
+    return (cs.astype(np.uint32) << TIMESTAMP_BITS) | ts.astype(np.uint32)
 
 
 _KLASS_OF_BIT = (SpikeClass.SS, SpikeClass.CS)
@@ -114,10 +123,6 @@ def unpack_words(words: np.ndarray) -> list[EventRecord]:
     ts = (words & MAX_TIMESTAMP).tolist()
     klasses = map(_KLASS_OF_BIT.__getitem__, (words >> TIMESTAMP_BITS).tolist())
     return list(map(EventRecord, ts, klasses))
-
-
-def _increasing(ts: np.ndarray) -> bool:
-    return bool(np.all(ts[1:] > ts[:-1]))
 
 
 def write_event_log(path, events: list[EventRecord], sample_rate_hz: float) -> None:

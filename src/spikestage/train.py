@@ -35,7 +35,7 @@ from scipy.stats import norm
 from . import pipeline as pl
 from .analysis import ConfusionMatrix, accuracy
 from .config import DetectorConfig, DseConfig, TrainConfig
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, shown
 from .nn import (
     NUM_CLASSES,
     WAVEFORM_SAMPLES,
@@ -293,7 +293,9 @@ def load_dataset_lines(path, lines) -> Dataset:
             label = SpikeClass[doc["label"]]
             waveform = doc["waveform"]
             tick = doc["tick"]
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        except KeyError as exc:  # a missing key, or a label that names no class
+            raise FormatError(f"{path}:{lineno}: malformed dataset line ({shown(exc.args[0])})") from exc
+        except (ValueError, TypeError, RecursionError) as exc:
             raise FormatError(f"{path}:{lineno}: malformed dataset line ({exc})") from exc
         # exact types: bool is a subclass of int, and true/false are not samples
         if type(tick) is not int or not -(2**63) <= tick < 2**63:

@@ -56,8 +56,8 @@ def cli_run():
     exit 0 stderr is empty and stdout is one strict JSON document, returned
     parsed; `dse` prints a table and `--help` the usage, returned as text.
     On any other exit stdout is empty (but for the table `dse` prints before
-    exit 3) and stderr is one `error: ` line naming `blame`, with no
-    traceback; stdout is returned.
+    exit 3) and stderr is one `error: ` line under 1,000 characters naming
+    `blame`, with no traceback; stdout is returned.
     """
 
     def run(*args, code=0, blame="", hash_seed=None):
@@ -86,6 +86,7 @@ def cli_run():
             return json.loads(out, parse_constant=_refuse_constant)
         assert out == "" or (argv[:1] == ["dse"] and got == 3), out
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+        assert len(err) < 1_000, err[:200]  # a culprit read from a file is shown cut short
         assert blame in err and "Traceback" not in err, err
         return out
 

@@ -780,6 +780,52 @@ def test_annotation_index_outside_the_writers_form_exits_2(cli_run, model_files,
         cli_run(*argv, code=2, blame=f"ann.csv: {message}")
 
 
+LONG_FIELD = "x" * 100_000
+
+# (the file's name, its text, the command that reads it, its exit code); {root} holds model_files
+LONG_FIELD_FILES = {
+    "annotation-index": (
+        "ann.csv",
+        f"sample_index,label\n{LONG_FIELD},SS\n",
+        "metrics --events {root}/e.spkevt --annotations",
+        2,
+    ),
+    "dataset-label": (
+        "ds.jsonl",
+        json.dumps({"tick": 5, "label": LONG_FIELD, "waveform": [0] * 40}) + "\n",
+        "train --topology 40,3 --out {root}/out.json --dataset",
+        2,
+    ),
+    "model-kind": (
+        "m.json",
+        json.dumps({"version": 1, "kind": LONG_FIELD, "layers": []}),
+        "run --in {root}/r.spkr --out {root}/o.spkevt --model",
+        2,
+    ),
+    "model-version": (
+        "m.json",
+        json.dumps({"version": LONG_FIELD, "kind": "quant", "layers": []}),
+        "run --in {root}/r.spkr --out {root}/o.spkevt --model",
+        2,
+    ),
+    "config-value": (
+        "c.json",
+        json.dumps({"resources": {"e_detect_nj": LONG_FIELD}}),
+        "report --config",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name, text, argv, code", LONG_FIELD_FILES.values(), ids=LONG_FIELD_FILES)
+def test_a_long_field_is_shown_cut_short(cli_run, model_files, name, text, argv, code):
+    # each error line echoed the whole 100,000-character field; cli_run bounds its length
+    root = model_files
+    (root / name).write_text(text)
+    store.write_event_log(root / "e.spkevt", [store.EventRecord(100, SpikeClass.SS)], 24414.0)
+    cli_run(*argv.format(root=root).split(), root / name, code=code, blame="(100002 characters)")
+
+
 def test_negative_seeds_exit_1(cli_run, tmp_path):
     ds = tmp_path / "ds.jsonl"
     ds.write_text(json.dumps({"tick": 5, "label": "SS", "waveform": [0] * 40}) + "\n")

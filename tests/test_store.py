@@ -159,6 +159,19 @@ def test_writers_refuse_non_integer_ticks(tmp_path, tick):
     assert not log.exists() and not csv_path.exists()
 
 
+@pytest.mark.parametrize("klass", [1, True, None, SpikeClass.F])
+def test_writers_refuse_unstorable_classes(tmp_path, klass):
+    # write_annotations tested the class with `in`, so 1 and True passed as
+    # SS, and then failed on `.name` after writing the header
+    events = [store.EventRecord(0, SpikeClass.SS), store.EventRecord(5, klass)]
+    log, csv_path = tmp_path / "events.spkevt", tmp_path / "ann.csv"
+    with pytest.raises(ValidationError):
+        store.write_event_log(log, events, 24414.0)
+    with pytest.raises(ValidationError):
+        signal.write_annotations(csv_path, events)
+    assert not log.exists() and not csv_path.exists()
+
+
 def test_writers_take_numpy_integer_ticks(tmp_path):
     events = [
         store.EventRecord(np.int64(3), SpikeClass.SS),
@@ -184,9 +197,13 @@ TICKS = st.one_of(
 )
 
 
+# every class, and values that are none: the ints and True equal one (1 == SpikeClass.SS)
+CLASSES = [*SpikeClass, 0, 1, 2, True, None]
+
+
 @st.composite
 def tick_class_rows(draw):
-    rows = draw(st.lists(st.tuples(TICKS, st.sampled_from(list(SpikeClass))), max_size=6))
+    rows = draw(st.lists(st.tuples(TICKS, st.sampled_from(CLASSES)), max_size=6))
     if draw(st.booleans()):
         rows.sort(key=lambda row: float(row[0]))
     return [store.EventRecord(t, k) for t, k in rows]
@@ -204,6 +221,7 @@ def test_what_a_writer_accepts_reads_back_unchanged(writer_dir, events):
         (lambda p: store.write_event_log(p, events, 24414.0), lambda p: store.read_event_log(p)[0]),
         (lambda p: signal.write_annotations(p, events), signal.read_annotations),
     )
+    accepted = []
     for write, read in writers:
         path = writer_dir / "out"
         path.unlink(missing_ok=True)
@@ -211,8 +229,10 @@ def test_what_a_writer_accepts_reads_back_unchanged(writer_dir, events):
             write(path)
         except ValidationError:
             assert not path.exists()
-            continue
-        assert read(path) == events
+        else:
+            assert read(path) == events
+        accepted.append(path.exists())
+    assert accepted[0] == accepted[1], events  # one rule: both writers take the same streams
 
 
 def test_read_rejects_damage(tmp_path):
